@@ -22,8 +22,8 @@
 // The --mmap mode adds the fourth tier (docs/perf.md): each 2D sweep also
 // writes its labelling to the on-disk LCLLABv1 format (row by row -- no
 // full-grid staging buffer beyond the labels the sweep already holds) and
-// measures streamCountViolations on the memory-mapped file, serial and
-// sharded. Those rows additionally report peak_rss_kb (getrusage high-water
+// measures a streaming count request (verify(VerifyRequest) on the
+// memory-mapped file), serial and sharded. Those rows additionally report peak_rss_kb (getrusage high-water
 // mark), the bounded-memory claim's measurable form: with --mmap-only the
 // resident peak stays at the rolling window, independent of grid size.
 //
@@ -63,6 +63,7 @@
 #include "lcl/problems.hpp"
 #include "lcl/stream_verify.hpp"
 #include "lcl/verifier.hpp"
+#include "lcl/verify_api.hpp"
 #include "support/json.hpp"
 #include "support/telemetry.hpp"
 #include "support/timing.hpp"
@@ -326,21 +327,19 @@ int main(int argc, char** argv) {
           for (int i = 0; i < batchSize; ++i) {
             batch.insert(batch.end(), labels.begin(), labels.end());
           }
-          auto sumCounts = [&](const std::vector<std::int64_t>& counts) {
-            std::int64_t total = 0;
-            for (auto count : counts) total += count;
-            return total / batchSize;
-          };
+          VerifyRequest batchRequest;
+          batchRequest.problem = &lcl;
+          batchRequest.torus = &torus;
+          batchRequest.labels = batch;
+          batchRequest.options.countViolations = true;
           results.push_back(measure(
               dims, n, "batched", nodes * batchSize, minSeconds, [&]() {
-                return sumCounts(countViolationsBatch(torus, lcl, batch));
+                return verify(batchRequest).violations / batchSize;
               }));
+          batchRequest.options.engine = engineOptions;
           results.push_back(measure(
               dims, n, "batched_sharded", nodes * batchSize, minSeconds,
-              [&]() {
-                return sumCounts(
-                    countViolationsBatch(torus, lcl, batch, engineOptions));
-              }));
+              [&]() { return verify(batchRequest).violations / batchSize; }));
           results.back().lanes = threads;
         }
         if (mmapMode) {
@@ -362,15 +361,19 @@ int main(int argc, char** argv) {
             writer.close();
           }
           StreamLabelling mapped(path);
+          VerifyRequest streamRequest;
+          streamRequest.problem = &lcl;
+          streamRequest.file = &mapped;
+          streamRequest.options.countViolations = true;
           results.push_back(
               measure(dims, n, "mmap_stream", nodes, minSeconds, [&]() {
-                return streamCountViolations(mapped, lcl);
+                return verify(streamRequest).violations;
               }));
           results.back().peakRssKb = peakRssKb();
+          streamRequest.options.engine = engineOptions;
           results.push_back(measure(
-              dims, n, "mmap_stream_sharded", nodes, minSeconds, [&]() {
-                return streamCountViolations(mapped, lcl, engineOptions);
-              }));
+              dims, n, "mmap_stream_sharded", nodes, minSeconds,
+              [&]() { return verify(streamRequest).violations; }));
           results.back().lanes = threads;
           results.back().peakRssKb = peakRssKb();
           std::remove(path.c_str());
@@ -411,7 +414,7 @@ int main(int argc, char** argv) {
           }));
       results.back().lanes = threads;
       bitslice::setEnabled(true);
-      if (verifier_detail::bitsliceSelectedD(lcl, torus.size())) {
+      if (verifier_detail::bitsliceSelected(lcl, torus.size())) {
         results.push_back(
             measure(dims, side, "bitsliced", nodes, minSeconds, [&]() {
               return countViolations(torus, lcl, labels);

@@ -1,10 +1,10 @@
 // The knob struct shared by every threaded entry point in the library.
-// Deliberately free of <thread>-family includes: lcl/verifier.hpp includes
-// this (not the pool itself) to declare its threaded overloads, so the lcl
-// translation units stay lean and the engine -> lcl library dependency has
-// no include cycle back. The overload *definitions* live in lclgrid_engine
-// (src/engine/parallel_verifier.cpp); link that library (or the umbrella
-// `lclgrid` target) to call them.
+// Deliberately free of <thread>-family includes: lcl/verify_api.hpp
+// includes this (not the pool itself) to declare the verification entry
+// points, so headers under src/lcl stay lean and the engine -> lcl library
+// dependency has no include cycle back. The definitions live in
+// lclgrid_engine (src/engine/verify_api.cpp); link that library (or the
+// umbrella `lclgrid` target) to call them.
 #pragma once
 
 #include <cstdint>
@@ -27,7 +27,7 @@ struct EngineOptions {
   int threads = 0;
   /// Work items per chunk: grid rows for single-labelling verification (on
   /// every code path -- the node-indexed fallback scales the row grain
-  /// internally), labellings for the batch entry points. FamilySweep
+  /// internally), labellings for batch requests. FamilySweep
   /// always runs one problem per task regardless (a slow classification
   /// must not serialise chunk-mates).
   /// 0 picks a size that yields a few chunks per lane -- that auto size

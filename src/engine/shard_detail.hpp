@@ -1,34 +1,34 @@
-// Internal sharding machinery of the parallel verifier, shared by the
-// unified front door (engine/verify_api.cpp) and the compatibility
-// overloads + streaming shards (engine/parallel_verifier.cpp). One
-// labelling is sharded into contiguous ranges of "shard items" -- grid rows
-// on Torus2D, axis-0 lines on TorusD (a chunk of the line space is a slab
-// along the outermost axes) -- each shard runs the exact serial kernel
+// Internal sharding machinery of verify(VerifyRequest) (engine/verify_api.cpp).
+// One labelling is sharded into contiguous ranges of "shard items" -- grid
+// rows on Torus2D, axis-0 lines on TorusD (a chunk of the line space is a
+// slab along the outermost axes) -- each shard runs the exact serial kernel
 // slice (lcl/verifier.hpp verifier_detail), and per-shard violation counts
 // are combined in chunk order, so every result is bit-identical to the
-// serial engine; the determinism tests pin this down for 1/2/8 threads.
+// serial pass; the determinism tests pin this down for 1/2/8 threads.
 //
-// Both torus families share one set of sharding templates; the per-family
+// runSlices is the one place that decides between running a slice inline
+// (no pool: the serial path) and chunking it across a pool; the in-core
+// dispatch and the streaming pass builder (shardedStream) both go through
+// it. Both torus families share these templates; the per-family
 // differences (item count, kernel slice, size validation) are small
-// overloaded shims, so the sharding scheme itself cannot diverge between
-// 2D and d dimensions. The d = 2 TorusD case additionally delegates to the
-// 2D row kernel inside tableViolationLinesD, so the sharded 2D fast path
-// is one code path however it is reached.
+// overloaded shims, so the sharding scheme cannot diverge between 2D and d
+// dimensions. The d = 2 TorusD case additionally delegates to the 2D row
+// kernel inside the verifier_detail line slices.
 //
-// NOT a stable API: this header exists so the engine's translation units
-// share one implementation; include it only from src/engine.
+// NOT a stable API: include it only from src/engine.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <span>
 #include <stdexcept>
-#include <vector>
 
 #include "engine/thread_pool.hpp"
+#include "grid/torus2d.hpp"
+#include "grid/torusd.hpp"
 #include "lcl/stream_verify.hpp"
 #include "lcl/verifier.hpp"
-#include "lcl/verify_probes.hpp"
 
 namespace lclgrid::engine::shard_detail {
 
@@ -57,7 +57,19 @@ inline void checkLabelling(const TorusD& torus, const GridLclD& lcl,
   }
 }
 
-/// The serial compiled-table kernel slice over shard items [begin, end).
+/// Number of labellings in a back-to-back batch; throws when the batch is
+/// not a whole number of tori.
+template <typename Torus>
+std::size_t batchCount(const Torus& torus, std::span<const int> labelsBatch) {
+  const std::size_t stride = static_cast<std::size_t>(torus.size());
+  if (stride == 0 || labelsBatch.size() % stride != 0) {
+    throw std::invalid_argument(
+        "verifier: batch size is not a multiple of torus.size()");
+  }
+  return labelsBatch.size() / stride;
+}
+
+/// The compiled-table kernel slice over shard items [begin, end).
 inline std::int64_t tableSlice(const Torus2D& torus, const GridLcl& lcl,
                                const int* labels, std::int64_t begin,
                                std::int64_t end, bool stopAtFirst) {
@@ -72,7 +84,35 @@ inline std::int64_t tableSlice(const TorusD& torus, const GridLclD& lcl,
                                                begin, end, stopAtFirst);
 }
 
-/// The serial functional-fallback slice over nodes [begin, end).
+/// The bit-sliced kernel slice over shard items [begin, end). 2D (and the
+/// d = 2 delegated table) runs the self-contained rolling row kernel on the
+/// raw labels and ignores `planes`; d >= 3 reads the staged planes.
+inline std::int64_t bitsliceSlice(const Torus2D& torus, const GridLcl& lcl,
+                                  const LabelPlanes&, const int* labels,
+                                  std::int64_t begin, std::int64_t end,
+                                  bool stopAtFirst) {
+  return verifier_detail::bitsliceViolationRows(
+      lcl.table(), torus.n(), torus.n(), labels, static_cast<int>(begin),
+      static_cast<int>(end), stopAtFirst);
+}
+inline std::int64_t bitsliceSlice(const TorusD& torus, const GridLclD& lcl,
+                                  const LabelPlanes& planes, const int* labels,
+                                  std::int64_t begin, std::int64_t end,
+                                  bool stopAtFirst) {
+  return verifier_detail::bitsliceViolationLinesD(
+      lcl.table(), torus, planes, labels, begin, end, stopAtFirst);
+}
+
+/// Plane buffer the bit-sliced slices read: empty (no staging) for 2D and
+/// the d = 2 delegated table.
+inline LabelPlanes bitslicePlanes(const Torus2D&, const GridLcl&) {
+  return LabelPlanes();
+}
+inline LabelPlanes bitslicePlanes(const TorusD& torus, const GridLclD& lcl) {
+  return verifier_detail::bitsliceMakePlanesD(torus, lcl.table());
+}
+
+/// The functional-fallback slice over nodes [begin, end).
 inline std::int64_t functionalSlice(const Torus2D& torus, const GridLcl& lcl,
                                     std::span<const int> labels,
                                     std::int64_t begin, std::int64_t end,
@@ -89,24 +129,6 @@ inline std::int64_t functionalSlice(const TorusD& torus, const GridLclD& lcl,
                                                     end, stopAtFirst);
 }
 
-inline std::size_t batchCountOf(const Torus2D& torus,
-                                std::span<const int> labelsBatch) {
-  return verifier_detail::batchCount(torus, labelsBatch);
-}
-inline std::size_t batchCountOf(const TorusD& torus,
-                                std::span<const int> labelsBatch) {
-  return verifier_detail::batchCountD(torus, labelsBatch);
-}
-
-/// The engine's bit-slice selection shims (mirror the serial engine's, so
-/// every thread count runs the same kernel tier).
-inline bool bitsliceSelectedFor(const GridLcl& lcl, long long nodes) {
-  return verifier_detail::bitsliceSelected(lcl, nodes);
-}
-inline bool bitsliceSelectedFor(const GridLclD& lcl, long long nodes) {
-  return verifier_detail::bitsliceSelectedD(lcl, nodes);
-}
-
 /// EngineOptions::grain counts shard items (rows / lines) for a single
 /// labelling; the functional fallback shards by node index, so the item
 /// grain is scaled by the item length to keep the chunk payload (and hence
@@ -116,420 +138,125 @@ std::int64_t nodeGrain(std::int64_t itemGrain, const Torus& torus) {
   return itemGrain > 0 ? itemGrain * torus.n() : 0;
 }
 
-// --- bit-sliced shard runners ---------------------------------------------
-// Selection mirrors the serial engine (verifier_detail::bitsliceSelected*),
-// so every thread count runs the same kernel tier; each runner returns
-// false when the problem stays on the row-pointer kernel. 2D shards (and
-// d = 2 TorusD shards, via the delegated table) run the self-contained
-// rolling row kernel; d >= 3 stages the whole labelling into a LabelPlanes
-// buffer with its own sharded transposition pass first (disjoint line
-// ranges, so the staging writes are race-free). `forced` bypasses the
-// selection predicate for a pinned-tier request (the caller has already
-// validated that a plan exists).
+// --- the sharding scheme ---------------------------------------------------
 
-inline bool bitsliceShardCount(engine::ThreadPool& pool, std::int64_t grain,
-                               const Torus2D& torus, const GridLcl& lcl,
-                               std::span<const int> labels,
-                               std::int64_t* result, bool forced = false) {
-  if (!forced && !verifier_detail::bitsliceSelected(lcl, torus.size())) {
-    return false;
-  }
-  verify_probes::recordCall(verify_probes::Tier::kBitsliced,
-                            static_cast<std::int64_t>(labels.size()));
-  telemetry::ScopedSpan span(
-      verify_probes::spanName(verify_probes::Tier::kBitsliced));
-  *result = pool.parallelReduce(
-      0, shardItems(torus), grain, std::int64_t{0},
-      [&](std::int64_t begin, std::int64_t end) {
-        return verifier_detail::bitsliceViolationRows(
-            lcl.table(), torus.n(), torus.n(), labels.data(),
-            static_cast<int>(begin), static_cast<int>(end),
-            /*stopAtFirst=*/false);
-      },
-      [](std::int64_t a, std::int64_t b) { return a + b; });
-  return true;
-}
-
-inline bool bitsliceShardCount(engine::ThreadPool& pool, std::int64_t grain,
-                               const TorusD& torus, const GridLclD& lcl,
-                               std::span<const int> labels,
-                               std::int64_t* result, bool forced = false) {
-  if (!forced && !verifier_detail::bitsliceSelectedD(lcl, torus.size())) {
-    return false;
-  }
-  verify_probes::recordCall(verify_probes::Tier::kBitsliced,
-                            static_cast<std::int64_t>(labels.size()));
-  telemetry::ScopedSpan span(
-      verify_probes::spanName(verify_probes::Tier::kBitsliced));
-  const std::int64_t lines = shardItems(torus);
-  LabelPlanes planes = verifier_detail::bitsliceMakePlanesD(torus, lcl.table());
-  if (planes.rows() > 0) {
-    pool.parallelFor(0, lines, grain,
-                     [&](std::int64_t begin, std::int64_t end) {
-                       verifier_detail::bitsliceStageLinesD(
-                           torus, labels, planes, begin, end);
-                     });
-  }
-  *result = pool.parallelReduce(
-      0, lines, grain, std::int64_t{0},
-      [&](std::int64_t begin, std::int64_t end) {
-        return verifier_detail::bitsliceViolationLinesD(
-            lcl.table(), torus, planes, labels.data(), begin, end,
-            /*stopAtFirst=*/false);
-      },
-      [](std::int64_t a, std::int64_t b) { return a + b; });
-  return true;
-}
-
-inline bool bitsliceShardVerify(engine::ThreadPool& pool, std::int64_t grain,
-                                const Torus2D& torus, const GridLcl& lcl,
-                                std::span<const int> labels, bool* feasible,
-                                bool forced = false) {
-  if (!forced && !verifier_detail::bitsliceSelected(lcl, torus.size())) {
-    return false;
-  }
-  verify_probes::recordCall(verify_probes::Tier::kBitsliced,
-                            static_cast<std::int64_t>(labels.size()));
-  telemetry::ScopedSpan span(
-      verify_probes::spanName(verify_probes::Tier::kBitsliced));
-  std::atomic<bool> violated{false};
-  pool.parallelFor(0, shardItems(torus), grain,
-                   [&](std::int64_t begin, std::int64_t end) {
-                     if (violated.load(std::memory_order_relaxed)) return;
-                     if (verifier_detail::bitsliceViolationRows(
-                             lcl.table(), torus.n(), torus.n(), labels.data(),
-                             static_cast<int>(begin), static_cast<int>(end),
-                             /*stopAtFirst=*/true) > 0) {
-                       violated.store(true, std::memory_order_relaxed);
-                     }
-                   });
-  *feasible = !violated.load();
-  return true;
-}
-
-inline bool bitsliceShardVerify(engine::ThreadPool& pool, std::int64_t grain,
-                                const TorusD& torus, const GridLclD& lcl,
-                                std::span<const int> labels, bool* feasible,
-                                bool forced = false) {
-  if (!forced && !verifier_detail::bitsliceSelectedD(lcl, torus.size())) {
-    return false;
-  }
-  verify_probes::recordCall(verify_probes::Tier::kBitsliced,
-                            static_cast<std::int64_t>(labels.size()));
-  telemetry::ScopedSpan span(
-      verify_probes::spanName(verify_probes::Tier::kBitsliced));
-  const std::int64_t lines = shardItems(torus);
-  // The d >= 3 staging below is one full parallel pass; only the kernel
-  // pass early-exits cooperatively. (The serial engine staggers staging
-  // one block ahead instead -- see verifier_d.cpp -- but a sharded
-  // staggered stage would serialise on block order.)
-  LabelPlanes planes = verifier_detail::bitsliceMakePlanesD(torus, lcl.table());
-  if (planes.rows() > 0) {
-    pool.parallelFor(0, lines, grain,
-                     [&](std::int64_t begin, std::int64_t end) {
-                       verifier_detail::bitsliceStageLinesD(
-                           torus, labels, planes, begin, end);
-                     });
+/// Violations of slice(begin, end, stopAtFirst) over items [begin, end).
+/// No pool: one inline call, the serial path. With a pool: chunks of
+/// `grain` items run across it; counts are summed in chunk order, and with
+/// stopAtFirst the chunks cooperatively early-exit after the first
+/// violation and the result is 0 or 1 -- scheduling-independent either way.
+template <typename Slice>
+std::int64_t runSlices(ThreadPool* pool, std::int64_t begin, std::int64_t end,
+                       std::int64_t grain, bool stopAtFirst,
+                       const Slice& slice) {
+  if (pool == nullptr) return slice(begin, end, stopAtFirst);
+  if (!stopAtFirst) {
+    return pool->parallelReduce(
+        begin, end, grain, std::int64_t{0},
+        [&](std::int64_t s, std::int64_t t) { return slice(s, t, false); },
+        [](std::int64_t a, std::int64_t b) { return a + b; });
   }
   std::atomic<bool> violated{false};
-  pool.parallelFor(0, lines, grain,
-                   [&](std::int64_t begin, std::int64_t end) {
-                     if (violated.load(std::memory_order_relaxed)) return;
-                     if (verifier_detail::bitsliceViolationLinesD(
-                             lcl.table(), torus, planes, labels.data(), begin,
-                             end, /*stopAtFirst=*/true) > 0) {
-                       violated.store(true, std::memory_order_relaxed);
-                     }
-                   });
-  *feasible = !violated.load();
-  return true;
+  pool->parallelFor(begin, end, grain, [&](std::int64_t s, std::int64_t t) {
+    if (violated.load(std::memory_order_relaxed)) return;
+    if (slice(s, t, true) > 0) violated.store(true, std::memory_order_relaxed);
+  });
+  return violated.load() ? 1 : 0;
 }
 
-// --- shared sharding scheme ------------------------------------------------
-
-/// Sharded table-path precondition check. The serial allLabelsInRange scan
-/// would sit in front of the parallel kernel as a serial O(N) pass (a
-/// material Amdahl fraction -- the kernel itself is only a few loads per
-/// node), so the scan is sharded too, with chunks after the first
-/// out-of-range find returning immediately.
+/// The table path's precondition: every label in [0, sigma). Sharded with
+/// a pool -- a serial O(N) scan in front of the parallel kernel would be a
+/// material Amdahl fraction -- with chunks after the first out-of-range
+/// find returning immediately.
 template <typename Torus>
-bool shardedAllInRange(engine::ThreadPool& pool, std::int64_t grain,
-                       const Torus& torus, int sigma,
-                       std::span<const int> labels) {
-  std::atomic<bool> outOfRange{false};
-  pool.parallelFor(
-      0, static_cast<std::int64_t>(labels.size()), nodeGrain(grain, torus),
-      [&](std::int64_t begin, std::int64_t end) {
-        if (outOfRange.load(std::memory_order_relaxed)) return;
-        if (!verifier_detail::allLabelsInRange(
-                sigma, labels.subspan(static_cast<std::size_t>(begin),
-                                      static_cast<std::size_t>(end - begin)))) {
-          outOfRange.store(true, std::memory_order_relaxed);
-        }
-      });
-  return !outOfRange.load();
+bool allInRange(ThreadPool* pool, std::int64_t grain, const Torus& torus,
+                int sigma, std::span<const int> labels) {
+  return runSlices(pool, 0, static_cast<std::int64_t>(labels.size()),
+                   nodeGrain(grain, torus), /*stopAtFirst=*/true,
+                   [&](std::int64_t begin, std::int64_t end, bool) {
+                     return verifier_detail::allLabelsInRange(
+                                sigma,
+                                labels.subspan(
+                                    static_cast<std::size_t>(begin),
+                                    static_cast<std::size_t>(end - begin)))
+                                ? std::int64_t{0}
+                                : std::int64_t{1};
+                   }) == 0;
 }
 
-/// Sharded violation count over one labelling; exact same shard kernels as
-/// the serial path, summed in shard order.
+// --- streaming (out-of-core) passes ----------------------------------------
+// The slab walk itself (window geometry, validation frontier, drop-behind,
+// functional restart, checkpoints) is stream_verify_detail::runStreamPass;
+// this builder supplies its per-slab callbacks, which run the in-core
+// slices through runSlices -- inline without a pool, chunk-ordered across
+// one with it -- so counts are bit-identical to the in-core engine at every
+// thread count.
+
+/// Validates a file against the problem and returns the torus it labels.
+inline Torus2D streamTorus(const StreamLabelling& file, const GridLcl& lcl) {
+  stream_verify_detail::checkStream2D(file, lcl);
+  return Torus2D(file.n());
+}
+inline TorusD streamTorus(const StreamLabelling& file, const GridLclD& lcl) {
+  stream_verify_detail::checkStreamD(file, lcl);
+  return TorusD(file.dims(), file.n());
+}
+
+/// One streaming pass over `file` (validated by streamTorus); `pool` may be
+/// null for the serial pass.
 template <typename Torus, typename Lcl>
-std::int64_t shardedCount(engine::ThreadPool& pool, std::int64_t grain,
-                          const Torus& torus, const Lcl& lcl,
-                          std::span<const int> labels) {
-  checkLabelling(torus, lcl, labels);
-  const auto sum = [](std::int64_t a, std::int64_t b) { return a + b; };
-  if (lcl.hasTable() &&
-      shardedAllInRange(pool, grain, torus, lcl.sigma(), labels)) {
-    std::int64_t bitsliced = 0;
-    if (bitsliceShardCount(pool, grain, torus, lcl, labels, &bitsliced)) {
-      return bitsliced;
-    }
-    verify_probes::recordCall(verify_probes::Tier::kTable,
-                              static_cast<std::int64_t>(labels.size()));
-    telemetry::ScopedSpan span(
-        verify_probes::spanName(verify_probes::Tier::kTable));
-    return pool.parallelReduce(
-        0, shardItems(torus), grain, std::int64_t{0},
-        [&](std::int64_t begin, std::int64_t end) {
-          return tableSlice(torus, lcl, labels.data(), begin, end,
-                            /*stopAtFirst=*/false);
-        },
-        sum);
-  }
-  verify_probes::recordCall(verify_probes::Tier::kFunctional,
-                            static_cast<std::int64_t>(labels.size()));
-  telemetry::ScopedSpan span(
-      verify_probes::spanName(verify_probes::Tier::kFunctional));
-  return pool.parallelReduce(
-      0, static_cast<std::int64_t>(labels.size()), nodeGrain(grain, torus),
-      std::int64_t{0},
-      [&](std::int64_t begin, std::int64_t end) {
-        return functionalSlice(torus, lcl, labels, begin, end,
-                               /*stopAtFirst=*/false);
-      },
-      sum);
-}
-
-/// Sharded feasibility check with cooperative early exit: shards that start
-/// after a violation was found return immediately. The boolean outcome is
-/// scheduling-independent either way.
-template <typename Torus, typename Lcl>
-bool shardedVerify(engine::ThreadPool& pool, std::int64_t grain,
-                   const Torus& torus, const Lcl& lcl,
-                   std::span<const int> labels) {
-  checkLabelling(torus, lcl, labels);
-  std::atomic<bool> violated{false};
-  const bool tablePath =
-      lcl.hasTable() &&
-      shardedAllInRange(pool, grain, torus, lcl.sigma(), labels);
-  if (tablePath) {
-    bool feasible = true;
-    if (bitsliceShardVerify(pool, grain, torus, lcl, labels, &feasible)) {
-      return feasible;
-    }
-  }
-  const verify_probes::Tier tier = tablePath ? verify_probes::Tier::kTable
-                                             : verify_probes::Tier::kFunctional;
-  verify_probes::recordCall(tier, static_cast<std::int64_t>(labels.size()));
-  telemetry::ScopedSpan span(verify_probes::spanName(tier));
-  const std::int64_t items = tablePath
-                                 ? shardItems(torus)
-                                 : static_cast<std::int64_t>(labels.size());
-  pool.parallelFor(0, items, tablePath ? grain : nodeGrain(grain, torus),
-                   [&](std::int64_t begin, std::int64_t end) {
-                     if (violated.load(std::memory_order_relaxed)) return;
-                     const std::int64_t bad =
-                         tablePath
-                             ? tableSlice(torus, lcl, labels.data(), begin,
-                                          end, /*stopAtFirst=*/true)
-                             : functionalSlice(torus, lcl, labels, begin, end,
-                                               /*stopAtFirst=*/true);
-                     if (bad > 0) {
-                       violated.store(true, std::memory_order_relaxed);
-                     }
-                   });
-  return !violated.load();
-}
-
-/// Batched feasibility: one labelling per work item (options.grain counts
-/// labellings); a single-labelling batch falls through to the sharded
-/// single-labelling path with auto item grain (the caller's grain counts
-/// labellings on the batch entry points, not rows/lines).
-template <typename Torus, typename Lcl>
-std::vector<std::uint8_t> shardedVerifyBatch(engine::ThreadPool& pool,
-                                             std::int64_t grain,
-                                             const Torus& torus,
-                                             const Lcl& lcl,
-                                             std::span<const int> labelsBatch) {
-  const std::size_t count = batchCountOf(torus, labelsBatch);
-  const std::size_t stride = static_cast<std::size_t>(torus.size());
-  std::vector<std::uint8_t> feasible(count, 0);
-  if (count == 1) {
-    feasible[0] =
-        shardedVerify(pool, /*grain=*/0, torus, lcl, labelsBatch) ? 1 : 0;
-    return feasible;
-  }
-  pool.parallelFor(
-      0, static_cast<std::int64_t>(count), grain,
-      [&](std::int64_t begin, std::int64_t end) {
-        for (std::int64_t i = begin; i < end; ++i) {
-          feasible[static_cast<std::size_t>(i)] =
-              verify(torus, lcl,
-                     labelsBatch.subspan(static_cast<std::size_t>(i) * stride,
-                                         stride))
-                  ? 1
-                  : 0;
-        }
-      });
-  return feasible;
-}
-
-/// Batched violation counts; same chunking contract as shardedVerifyBatch.
-template <typename Torus, typename Lcl>
-std::vector<std::int64_t> shardedCountBatch(engine::ThreadPool& pool,
-                                            std::int64_t grain,
-                                            const Torus& torus, const Lcl& lcl,
-                                            std::span<const int> labelsBatch) {
-  const std::size_t count = batchCountOf(torus, labelsBatch);
-  const std::size_t stride = static_cast<std::size_t>(torus.size());
-  std::vector<std::int64_t> violations(count, 0);
-  if (count == 1) {
-    violations[0] = shardedCount(pool, /*grain=*/0, torus, lcl, labelsBatch);
-    return violations;
-  }
-  pool.parallelFor(
-      0, static_cast<std::int64_t>(count), grain,
-      [&](std::int64_t begin, std::int64_t end) {
-        for (std::int64_t i = begin; i < end; ++i) {
-          violations[static_cast<std::size_t>(i)] = countViolations(
-              torus, lcl,
-              labelsBatch.subspan(static_cast<std::size_t>(i) * stride,
-                                  stride));
-        }
-      });
-  return violations;
-}
-
-// --- streaming (out-of-core) sharding --------------------------------------
-// The sharded halves of the lcl/stream_verify.hpp overloads: the slab walk
-// itself (window geometry, validation frontier, drop-behind, functional
-// restart) is stream_verify_detail::runStreamPass -- the exact code the
-// serial streaming entry points run -- and only the per-slab callbacks
-// differ: each slab shards across the pool with the chunk-ordered combine
-// of the in-core sharded verifier, so counts stay bit-identical to the
-// serial pass at every thread count.
-
-/// The compiled-kernel slice of one streaming chunk; `sliced` is the
-/// pass-wide tier choice (stream_verify_detail::streamUsesBitslice*).
-inline std::int64_t streamKernelSlice(const Torus2D& torus, const GridLcl& lcl,
-                                      const int* labels, bool sliced,
-                                      std::int64_t begin, std::int64_t end,
-                                      bool stopAtFirst) {
-  if (sliced) {
-    return verifier_detail::bitsliceViolationRows(
-        lcl.table(), torus.n(), torus.n(), labels, static_cast<int>(begin),
-        static_cast<int>(end), stopAtFirst);
-  }
-  return tableSlice(torus, lcl, labels, begin, end, stopAtFirst);
-}
-inline std::int64_t streamKernelSlice(const TorusD& torus, const GridLclD& lcl,
-                                      const int* labels, bool sliced,
-                                      std::int64_t begin, std::int64_t end,
-                                      bool stopAtFirst) {
-  if (sliced) {
-    // Streaming only selects the d = 2 delegated row kernel, which reads
-    // the raw labels and ignores the plane buffer.
-    static const LabelPlanes kNoPlanes;
-    return verifier_detail::bitsliceViolationLinesD(
-        lcl.table(), torus, kNoPlanes, labels, begin, end, stopAtFirst);
-  }
-  return tableSlice(torus, lcl, labels, begin, end, stopAtFirst);
-}
-
-inline bool streamSliced(const StreamLabelling& file, const GridLcl& lcl) {
-  return stream_verify_detail::streamUsesBitslice(file, lcl);
-}
-inline bool streamSliced(const StreamLabelling& file, const GridLclD& lcl) {
-  return stream_verify_detail::streamUsesBitsliceD(file, lcl);
-}
-
-template <typename Torus, typename Lcl>
-std::int64_t shardedStream(engine::ThreadPool& pool, std::int64_t grain,
+std::int64_t shardedStream(ThreadPool* pool, std::int64_t grain,
                            const StreamLabelling& file, const Lcl& lcl,
                            const Torus& torus, const StreamWindow& window,
                            bool stopAtFirst) {
   const int n = file.n();
-  const long long lines = file.lines();
   const int* labels = file.labels();
   const std::span<const int> all(labels,
                                  static_cast<std::size_t>(file.size()));
   stream_verify_detail::StreamPass pass;
   pass.file = &file;
-  pass.window = stream_verify_detail::resolveWindowRows(n, lines, window.rows);
+  pass.window =
+      stream_verify_detail::resolveWindowRows(n, file.lines(), window.rows);
   pass.wrapKeep = stream_verify_detail::wrapWindowRows(file.dims(), n);
   pass.dropBehind = window.dropBehind;
   pass.tablePath = lcl.hasTable();
-  stream_verify_detail::applyCheckpointConfig(
-      pass, file, window, lcl.hasTable() ? lcl.table().fingerprint() : 0);
-  const bool sliced = streamSliced(file, lcl);
-  const auto sum = [](std::int64_t a, std::int64_t b) { return a + b; };
+  if (!window.checkpointPath.empty()) {
+    pass.checkpointPath = window.checkpointPath;
+    pass.checkpointEverySlabs = std::max(1LL, window.checkpointEverySlabs);
+    // The labelling fingerprint is computed only when checkpointing is on.
+    pass.labellingFingerprint = file.fingerprint();
+    pass.problemFingerprint =
+        lcl.hasTable() ? lcl.table().fingerprint() : 0;
+  }
   if (pass.tablePath) {
-    pass.rowsInRange = [&, n](long long begin, long long end) {
-      return shardedAllInRange(
-          pool, grain, torus, lcl.sigma(),
-          all.subspan(static_cast<std::size_t>(begin * n),
-                      static_cast<std::size_t>((end - begin) * n)));
+    // Streaming selects the bit-sliced tier only where it needs no plane
+    // staging (2D and d = 2), so the slices read the raw mapped labels.
+    const bool sliced = stream_verify_detail::streamUsesBitslice(file, lcl);
+    static const LabelPlanes kNoPlanes;
+    pass.rowsInRange = [pool, grain, &torus, &lcl, all, n](long long begin,
+                                                           long long end) {
+      return allInRange(pool, grain, torus, lcl.sigma(),
+                        all.subspan(static_cast<std::size_t>(begin * n),
+                                    static_cast<std::size_t>((end - begin) *
+                                                             n)));
     };
-    pass.kernelRows = [&, sliced](long long begin, long long end,
-                                  bool stop) -> std::int64_t {
-      if (stop) {
-        std::atomic<bool> violated{false};
-        pool.parallelFor(begin, end, grain,
-                         [&](std::int64_t s, std::int64_t t) {
-                           if (violated.load(std::memory_order_relaxed)) {
-                             return;
-                           }
-                           if (streamKernelSlice(torus, lcl, labels, sliced,
-                                                 s, t,
-                                                 /*stopAtFirst=*/true) > 0) {
-                             violated.store(true, std::memory_order_relaxed);
-                           }
-                         });
-        return violated.load() ? 1 : 0;
-      }
-      return pool.parallelReduce(begin, end, grain, std::int64_t{0},
-                                 [&](std::int64_t s, std::int64_t t) {
-                                   return streamKernelSlice(
-                                       torus, lcl, labels, sliced, s, t,
-                                       /*stopAtFirst=*/false);
-                                 },
-                                 sum);
+    pass.kernelRows = [pool, grain, &torus, &lcl, labels, sliced](
+                          long long begin, long long end, bool stop) {
+      return runSlices(pool, begin, end, grain, stop,
+                       [&](std::int64_t s, std::int64_t t, bool first) {
+                         return sliced ? bitsliceSlice(torus, lcl, kNoPlanes,
+                                                       labels, s, t, first)
+                                       : tableSlice(torus, lcl, labels, s, t,
+                                                    first);
+                       });
     };
   }
-  pass.functionalRows = [&, n](long long begin, long long end,
-                               bool stop) -> std::int64_t {
-    const std::int64_t nodeBegin = begin * n;
-    const std::int64_t nodeEnd = end * n;
-    if (stop) {
-      std::atomic<bool> violated{false};
-      pool.parallelFor(nodeBegin, nodeEnd, nodeGrain(grain, torus),
-                       [&](std::int64_t s, std::int64_t t) {
-                         if (violated.load(std::memory_order_relaxed)) return;
-                         if (functionalSlice(torus, lcl, all, s, t,
-                                             /*stopAtFirst=*/true) > 0) {
-                           violated.store(true, std::memory_order_relaxed);
-                         }
-                       });
-      return violated.load() ? 1 : 0;
-    }
-    return pool.parallelReduce(nodeBegin, nodeEnd, nodeGrain(grain, torus),
-                               std::int64_t{0},
-                               [&](std::int64_t s, std::int64_t t) {
-                                 return functionalSlice(
-                                     torus, lcl, all, s, t,
-                                     /*stopAtFirst=*/false);
-                               },
-                               sum);
+  pass.functionalRows = [pool, grain, &torus, &lcl, all, n](
+                            long long begin, long long end, bool stop) {
+    return runSlices(pool, begin * n, end * n, nodeGrain(grain, torus), stop,
+                     [&](std::int64_t s, std::int64_t t, bool first) {
+                       return functionalSlice(torus, lcl, all, s, t, first);
+                     });
   };
   return stream_verify_detail::runStreamPass(pass, stopAtFirst);
 }

@@ -1,41 +1,39 @@
-// The unified verification front door (lcl/verify_api.hpp). This is where
-// the engine's tier selection lives once: one range scan (sharded when a
-// pool is attached), then a direct dispatch onto the exact serial kernel
-// slices / sharded runners the per-tier overloads run -- the overloads in
-// parallel_verifier.cpp now forward here, and the bit-identity tests pin
-// the new API against the old entry points at 1/2/8 threads.
+// The unified verification front door (lcl/verify_api.hpp) and the only
+// verification implementation in the library: one range scan (sharded when
+// a pool is attached), tier selection in selectKernel, then a direct
+// dispatch onto the verifier_detail kernel slices through the sharding
+// scheme of engine/shard_detail.hpp -- inline for a serial request, chunked
+// across the pool otherwise. The single-labelling conveniences at the end
+// only build requests.
 #include "lcl/verify_api.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstddef>
 #include <optional>
 #include <stdexcept>
+#include <type_traits>
 
 #include "engine/shard_detail.hpp"
 #include "grid/torus2d.hpp"
 #include "grid/torusd.hpp"
+#include "lcl/verify_probes.hpp"
 
 namespace lclgrid {
 
 namespace {
 
 namespace sd = engine::shard_detail;
-using verify_probes::Tier;
 
-/// The kernel the request resolved to (VerifyTier minus kStream, which has
-/// its own dispatch below).
-enum class Kernel { kFunctional, kTable, kBitsliced };
-
-VerifyTier tierOf(Kernel kernel) {
-  switch (kernel) {
-    case Kernel::kTable:
-      return VerifyTier::kTable;
-    case Kernel::kBitsliced:
-      return VerifyTier::kBitsliced;
-    case Kernel::kFunctional:
-      break;
-  }
-  return VerifyTier::kFunctional;
+/// The probe tier of an in-core kernel (the enums share their order).
+verify_probes::Tier probeTier(VerifyTier tier) {
+  static_assert(static_cast<int>(VerifyTier::kFunctional) ==
+                    static_cast<int>(verify_probes::Tier::kFunctional) &&
+                static_cast<int>(VerifyTier::kTable) ==
+                    static_cast<int>(verify_probes::Tier::kTable) &&
+                static_cast<int>(VerifyTier::kBitsliced) ==
+                    static_cast<int>(verify_probes::Tier::kBitsliced));
+  return static_cast<verify_probes::Tier>(tier);
 }
 
 /// Plan existence for a kBitsliced pin: independent of the LCLGRID_BITSLICE
@@ -52,48 +50,25 @@ bool hasBitslicePlan(const GridLclD& lcl) {
   return lcl.table().bitslicePlanD() != nullptr;
 }
 
-/// Serial bit-sliced pass over the whole labelling; the d >= 3 case stages
-/// everything up front (same counts as the serial engine's staggered
-/// staging, which is a resident-set optimisation, not a semantic one).
-std::int64_t bitsliceSerial(const Torus2D& torus, const GridLcl& lcl,
-                            std::span<const int> labels, bool stopAtFirst) {
-  return verifier_detail::bitsliceViolationRows(lcl.table(), torus.n(),
-                                                torus.n(), labels.data(), 0,
-                                                torus.n(), stopAtFirst);
-}
-std::int64_t bitsliceSerial(const TorusD& torus, const GridLclD& lcl,
-                            std::span<const int> labels, bool stopAtFirst) {
-  const long long lines = verifier_detail::lineCountD(torus);
-  LabelPlanes planes = verifier_detail::bitsliceMakePlanesD(torus, lcl.table());
-  if (planes.rows() > 0) {
-    verifier_detail::bitsliceStageLinesD(torus, labels, planes, 0, lines);
-  }
-  return verifier_detail::bitsliceViolationLinesD(
-      lcl.table(), torus, planes, labels.data(), 0, lines, stopAtFirst);
-}
-
-/// One range scan deciding (or validating, for a pin) the kernel. `pool`
-/// is null for serial execution; the scan shards when a pool is attached,
-/// exactly like the old threaded overloads.
+/// One range scan deciding (or validating, for a pin) the kernel tier --
+/// the only place the engine selects one. `pool` is null for serial
+/// execution; the scan shards when a pool is attached.
 template <typename Torus, typename Lcl>
-Kernel selectKernel(engine::ThreadPool* pool, std::int64_t grain,
-                    const Torus& torus, const Lcl& lcl,
-                    std::span<const int> labels, TierPin pin) {
+VerifyTier selectKernel(engine::ThreadPool* pool, std::int64_t grain,
+                        const Torus& torus, const Lcl& lcl,
+                        std::span<const int> labels, TierPin pin) {
   const auto labelsInRange = [&] {
-    return pool != nullptr
-               ? sd::shardedAllInRange(*pool, grain, torus, lcl.sigma(),
-                                       labels)
-               : verifier_detail::allLabelsInRange(lcl.sigma(), labels);
+    return sd::allInRange(pool, grain, torus, lcl.sigma(), labels);
   };
   switch (pin) {
     case TierPin::kAuto:
-      if (!lcl.hasTable() || !labelsInRange()) return Kernel::kFunctional;
-      return sd::bitsliceSelectedFor(
+      if (!lcl.hasTable() || !labelsInRange()) return VerifyTier::kFunctional;
+      return verifier_detail::bitsliceSelected(
                  lcl, static_cast<long long>(labels.size()))
-                 ? Kernel::kBitsliced
-                 : Kernel::kTable;
+                 ? VerifyTier::kBitsliced
+                 : VerifyTier::kTable;
     case TierPin::kFunctional:
-      return Kernel::kFunctional;
+      return VerifyTier::kFunctional;
     case TierPin::kTable:
       if (!lcl.hasTable()) {
         throw std::invalid_argument(
@@ -103,7 +78,7 @@ Kernel selectKernel(engine::ThreadPool* pool, std::int64_t grain,
         throw std::invalid_argument(
             "verify: tier pin kTable needs every label in [0, sigma)");
       }
-      return Kernel::kTable;
+      return VerifyTier::kTable;
     case TierPin::kBitsliced:
       if (!hasBitslicePlan(lcl)) {
         throw std::invalid_argument(
@@ -113,118 +88,91 @@ Kernel selectKernel(engine::ThreadPool* pool, std::int64_t grain,
         throw std::invalid_argument(
             "verify: tier pin kBitsliced needs every label in [0, sigma)");
       }
-      return Kernel::kBitsliced;
+      return VerifyTier::kBitsliced;
   }
   throw std::invalid_argument("verify: unknown tier pin");
 }
 
-/// Exact violation count of one labelling on the resolved kernel.
+/// The bit-sliced pass over one labelling. The staged d >= 3 kernel first
+/// transposes the labelling into plane buffers (sharded: disjoint line
+/// ranges, so the writes are race-free). A serial early-exit pass stages
+/// progressively instead, one outermost-axis block (lines / n lines) ahead
+/// of the scan, so a violation in the first block costs O(block)
+/// transposition, not O(N): every outer-axis neighbour of a line lies
+/// within +-1 block, so the scan of block i only needs blocks i-1, i, i+1
+/// (cyclically) -- the wrap block is staged up front, the rest one block
+/// ahead. (A sharded staggered stage would serialise on block order.)
 template <typename Torus, typename Lcl>
-std::int64_t runCount(engine::ThreadPool* pool, std::int64_t grain,
-                      const Torus& torus, const Lcl& lcl,
-                      std::span<const int> labels, Kernel kernel) {
-  const auto sum = [](std::int64_t a, std::int64_t b) { return a + b; };
-  switch (kernel) {
-    case Kernel::kBitsliced: {
-      if (pool != nullptr) {
-        std::int64_t bitsliced = 0;
-        sd::bitsliceShardCount(*pool, grain, torus, lcl, labels, &bitsliced,
-                               /*forced=*/true);
-        return bitsliced;
+std::int64_t bitslicePass(engine::ThreadPool* pool, std::int64_t grain,
+                          const Torus& torus, const Lcl& lcl,
+                          std::span<const int> labels, bool stopAtFirst) {
+  LabelPlanes planes = sd::bitslicePlanes(torus, lcl);
+  const auto slice = [&](std::int64_t begin, std::int64_t end, bool stop) {
+    return sd::bitsliceSlice(torus, lcl, planes, labels.data(), begin, end,
+                             stop);
+  };
+  const std::int64_t lines = sd::shardItems(torus);
+  if constexpr (std::is_same_v<Torus, TorusD>) {
+    const auto stage = [&](std::int64_t begin, std::int64_t end) {
+      verifier_detail::bitsliceStageLinesD(torus, labels, planes, begin, end);
+    };
+    if (planes.rows() > 0 && pool == nullptr && stopAtFirst) {
+      const std::int64_t blockLines =
+          std::max<std::int64_t>(1, lines / torus.n());
+      stage(lines - blockLines, lines);  // wrap block
+      std::int64_t stagedEnd = 0;
+      for (std::int64_t begin = 0; begin < lines; begin += blockLines) {
+        const std::int64_t end = std::min(begin + blockLines, lines);
+        const std::int64_t need =
+            std::min(end + blockLines, lines - blockLines);
+        if (need > stagedEnd) {
+          stage(stagedEnd, need);
+          stagedEnd = need;
+        }
+        if (slice(begin, end, /*stop=*/true) > 0) return 1;
       }
-      verify_probes::recordCall(Tier::kBitsliced,
-                                static_cast<std::int64_t>(labels.size()));
-      telemetry::ScopedSpan span(verify_probes::spanName(Tier::kBitsliced));
-      return bitsliceSerial(torus, lcl, labels, /*stopAtFirst=*/false);
+      return 0;
     }
-    case Kernel::kTable: {
-      verify_probes::recordCall(Tier::kTable,
-                                static_cast<std::int64_t>(labels.size()));
-      telemetry::ScopedSpan span(verify_probes::spanName(Tier::kTable));
+    if (planes.rows() > 0) {
       if (pool != nullptr) {
-        return pool->parallelReduce(
-            0, sd::shardItems(torus), grain, std::int64_t{0},
-            [&](std::int64_t begin, std::int64_t end) {
-              return sd::tableSlice(torus, lcl, labels.data(), begin, end,
-                                    /*stopAtFirst=*/false);
-            },
-            sum);
+        pool->parallelFor(0, lines, grain, stage);
+      } else {
+        stage(0, lines);
       }
-      return sd::tableSlice(torus, lcl, labels.data(), 0,
-                            sd::shardItems(torus), /*stopAtFirst=*/false);
     }
-    case Kernel::kFunctional:
-      break;
   }
-  verify_probes::recordCall(Tier::kFunctional,
-                            static_cast<std::int64_t>(labels.size()));
-  telemetry::ScopedSpan span(verify_probes::spanName(Tier::kFunctional));
-  const std::int64_t nodes = static_cast<std::int64_t>(labels.size());
-  if (pool != nullptr) {
-    return pool->parallelReduce(0, nodes, sd::nodeGrain(grain, torus),
-                                std::int64_t{0},
-                                [&](std::int64_t begin, std::int64_t end) {
-                                  return sd::functionalSlice(
-                                      torus, lcl, labels, begin, end,
-                                      /*stopAtFirst=*/false);
-                                },
-                                sum);
-  }
-  return sd::functionalSlice(torus, lcl, labels, 0, nodes,
-                             /*stopAtFirst=*/false);
+  return sd::runSlices(pool, 0, lines, grain, stopAtFirst, slice);
 }
 
-/// Feasibility of one labelling on the resolved kernel, early-exiting at
-/// the first violation (cooperatively across shards when pooled).
+/// Violations of one labelling on the resolved kernel: the exact count, or
+/// (stopAtFirst) 0 / 1 with an early exit at the first violation --
+/// cooperatively across shards when pooled.
 template <typename Torus, typename Lcl>
-bool runVerify(engine::ThreadPool* pool, std::int64_t grain,
-               const Torus& torus, const Lcl& lcl,
-               std::span<const int> labels, Kernel kernel) {
-  if (kernel == Kernel::kBitsliced) {
-    if (pool != nullptr) {
-      bool feasible = true;
-      sd::bitsliceShardVerify(*pool, grain, torus, lcl, labels, &feasible,
-                              /*forced=*/true);
-      return feasible;
-    }
-    verify_probes::recordCall(Tier::kBitsliced,
-                              static_cast<std::int64_t>(labels.size()));
-    telemetry::ScopedSpan span(verify_probes::spanName(Tier::kBitsliced));
-    return bitsliceSerial(torus, lcl, labels, /*stopAtFirst=*/true) == 0;
+std::int64_t runKernel(engine::ThreadPool* pool, std::int64_t grain,
+                       const Torus& torus, const Lcl& lcl,
+                       std::span<const int> labels, VerifyTier kernel,
+                       bool stopAtFirst) {
+  verify_probes::recordCall(probeTier(kernel),
+                            static_cast<std::int64_t>(labels.size()));
+  telemetry::ScopedSpan span(verify_probes::spanName(probeTier(kernel)));
+  switch (kernel) {
+    case VerifyTier::kBitsliced:
+      return bitslicePass(pool, grain, torus, lcl, labels, stopAtFirst);
+    case VerifyTier::kTable:
+      return sd::runSlices(
+          pool, 0, sd::shardItems(torus), grain, stopAtFirst,
+          [&](std::int64_t begin, std::int64_t end, bool stop) {
+            return sd::tableSlice(torus, lcl, labels.data(), begin, end,
+                                  stop);
+          });
+    default:
+      return sd::runSlices(
+          pool, 0, static_cast<std::int64_t>(labels.size()),
+          sd::nodeGrain(grain, torus), stopAtFirst,
+          [&](std::int64_t begin, std::int64_t end, bool stop) {
+            return sd::functionalSlice(torus, lcl, labels, begin, end, stop);
+          });
   }
-  const bool tablePath = kernel == Kernel::kTable;
-  const Tier tier = tablePath ? Tier::kTable : Tier::kFunctional;
-  verify_probes::recordCall(tier, static_cast<std::int64_t>(labels.size()));
-  telemetry::ScopedSpan span(verify_probes::spanName(tier));
-  if (pool == nullptr) {
-    const std::int64_t bad =
-        tablePath ? sd::tableSlice(torus, lcl, labels.data(), 0,
-                                   sd::shardItems(torus), /*stopAtFirst=*/true)
-                  : sd::functionalSlice(torus, lcl, labels, 0,
-                                        static_cast<std::int64_t>(
-                                            labels.size()),
-                                        /*stopAtFirst=*/true);
-    return bad == 0;
-  }
-  std::atomic<bool> violated{false};
-  const std::int64_t items = tablePath
-                                 ? sd::shardItems(torus)
-                                 : static_cast<std::int64_t>(labels.size());
-  pool->parallelFor(0, items, tablePath ? grain : sd::nodeGrain(grain, torus),
-                    [&](std::int64_t begin, std::int64_t end) {
-                      if (violated.load(std::memory_order_relaxed)) return;
-                      const std::int64_t bad =
-                          tablePath
-                              ? sd::tableSlice(torus, lcl, labels.data(),
-                                               begin, end,
-                                               /*stopAtFirst=*/true)
-                              : sd::functionalSlice(torus, lcl, labels, begin,
-                                                    end, /*stopAtFirst=*/true);
-                      if (bad > 0) {
-                        violated.store(true, std::memory_order_relaxed);
-                      }
-                    });
-  return !violated.load();
 }
 
 /// Dispatch of an in-core request (single labelling or batch) for one
@@ -237,9 +185,10 @@ VerifyResult dispatchInCore(const Torus& torus, const Lcl& lcl,
   engine::ThreadPool* pool =
       handle.pool().lanes() == 1 ? nullptr : &handle.pool();
   const std::int64_t grain = options.engine.grain;
+  const bool stopAtFirst = !options.countViolations;
 
   VerifyResult result;
-  const std::size_t count = sd::batchCountOf(torus, labels);
+  const std::size_t count = sd::batchCount(torus, labels);
   result.labellings = static_cast<std::int64_t>(count);
   if (count == 0) {
     result.feasible = true;
@@ -247,44 +196,26 @@ VerifyResult dispatchInCore(const Torus& torus, const Lcl& lcl,
   }
   if (count == 1) {
     sd::checkLabelling(torus, lcl, labels);
-    const Kernel kernel =
-        selectKernel(pool, grain, torus, lcl, labels, options.tier);
-    result.tier = tierOf(kernel);
-    if (options.countViolations) {
-      result.violations = runCount(pool, grain, torus, lcl, labels, kernel);
-      result.feasible = result.violations == 0;
-    } else {
-      result.feasible = runVerify(pool, grain, torus, lcl, labels, kernel);
-      result.violations = result.feasible ? 0 : 1;
-    }
+    result.tier = selectKernel(pool, grain, torus, lcl, labels, options.tier);
+    result.violations =
+        runKernel(pool, grain, torus, lcl, labels, result.tier, stopAtFirst);
+    result.feasible = result.violations == 0;
     return result;
   }
 
-  // Batch: one labelling per work item, each selecting its own kernel --
-  // exactly the batch overloads' contract. The reported tier is the first
-  // labelling's selection (resolved serially; selection does not scan when
-  // pinned or uncompiled).
+  // Batch: one labelling per work item (grain counts labellings), each
+  // selecting its own kernel and running serially. The reported tier is
+  // the first labelling's selection.
   const std::size_t stride = static_cast<std::size_t>(torus.size());
-  const std::span<const int> first = labels.subspan(0, stride);
-  sd::checkLabelling(torus, lcl, first);
-  result.tier =
-      tierOf(selectKernel(nullptr, grain, torus, lcl, first, options.tier));
-  if (options.countViolations) {
-    result.violationsPerLabelling.assign(count, 0);
-  } else {
-    result.feasiblePerLabelling.assign(count, 0);
-  }
+  sd::checkLabelling(torus, lcl, labels.subspan(0, stride));
+  std::vector<std::int64_t> violations(count, 0);
   const auto oneLabelling = [&](std::size_t i) {
     const std::span<const int> sub = labels.subspan(i * stride, stride);
-    const Kernel kernel =
+    const VerifyTier kernel =
         selectKernel(nullptr, grain, torus, lcl, sub, options.tier);
-    if (options.countViolations) {
-      result.violationsPerLabelling[i] =
-          runCount(nullptr, grain, torus, lcl, sub, kernel);
-    } else {
-      result.feasiblePerLabelling[i] =
-          runVerify(nullptr, grain, torus, lcl, sub, kernel) ? 1 : 0;
-    }
+    if (i == 0) result.tier = kernel;
+    violations[i] =
+        runKernel(nullptr, grain, torus, lcl, sub, kernel, stopAtFirst);
   };
   if (pool != nullptr) {
     pool->parallelFor(0, static_cast<std::int64_t>(count), grain,
@@ -296,26 +227,23 @@ VerifyResult dispatchInCore(const Torus& torus, const Lcl& lcl,
   } else {
     for (std::size_t i = 0; i < count; ++i) oneLabelling(i);
   }
-  result.feasible = true;
-  result.violations = 0;
+  // In verify mode each infeasible labelling contributes its early exit's
+  // 1, so the total counts infeasible labellings.
+  for (std::int64_t v : violations) result.violations += v;
+  result.feasible = result.violations == 0;
   if (options.countViolations) {
-    for (std::int64_t v : result.violationsPerLabelling) {
-      result.violations += v;
-    }
-    result.feasible = result.violations == 0;
+    result.violationsPerLabelling = std::move(violations);
   } else {
-    for (std::uint8_t ok : result.feasiblePerLabelling) {
-      if (ok == 0) {
-        result.feasible = false;
-        ++result.violations;
-      }
+    result.feasiblePerLabelling.reserve(count);
+    for (std::int64_t v : violations) {
+      result.feasiblePerLabelling.push_back(v == 0 ? 1 : 0);
     }
   }
   return result;
 }
 
-/// Dispatch of a streaming request through the stream_verify entry points
-/// (which fall back to the serial pass on a 1-lane pool themselves).
+/// Dispatch of a streaming request: one pass of shard_detail's builder,
+/// inline on a 1-lane pool, slab-sharded otherwise.
 template <typename Lcl>
 VerifyResult dispatchStream(const StreamLabelling& file, const Lcl& lcl,
                             const VerifyOptions& options) {
@@ -323,17 +251,39 @@ VerifyResult dispatchStream(const StreamLabelling& file, const Lcl& lcl,
     throw std::invalid_argument(
         "verify: streaming requests accept only TierPin::kAuto");
   }
+  const auto torus = sd::streamTorus(file, lcl);
+  engine::PoolHandle handle(options.engine);
+  engine::ThreadPool* pool =
+      handle.pool().lanes() == 1 ? nullptr : &handle.pool();
   VerifyResult result;
   result.tier = VerifyTier::kStream;
-  if (options.countViolations) {
-    result.violations =
-        streamCountViolations(file, lcl, options.engine, options.window);
-    result.feasible = result.violations == 0;
-  } else {
-    result.feasible = streamVerify(file, lcl, options.engine, options.window);
-    result.violations = result.feasible ? 0 : 1;
-  }
+  result.violations =
+      sd::shardedStream(pool, options.engine.grain, file, lcl, torus,
+                        options.window, !options.countViolations);
+  result.feasible = result.violations == 0;
   return result;
+}
+
+/// The single-labelling conveniences' request: it must not silently turn a
+/// whole multiple of the torus size into a batch, hence the size check.
+template <typename Torus, typename Lcl>
+VerifyResult verifyOne(const Torus& torus, const Lcl& lcl,
+                       std::span<const int> labels,
+                       const engine::EngineOptions& engine,
+                       bool countViolations) {
+  sd::checkLabelling(torus, lcl, labels);
+  VerifyRequest request;
+  if constexpr (std::is_same_v<Torus, Torus2D>) {
+    request.problem = &lcl;
+    request.torus = &torus;
+  } else {
+    request.problemD = &lcl;
+    request.torusD = &torus;
+  }
+  request.labels = labels;
+  request.options.countViolations = countViolations;
+  request.options.engine = engine;
+  return verify(request);
 }
 
 }  // namespace
@@ -421,6 +371,28 @@ VerifyResult verify(const VerifyRequest& request) {
                                               : 0;
   }
   return result;
+}
+
+bool verify(const Torus2D& torus, const GridLcl& lcl,
+            std::span<const int> labels, const engine::EngineOptions& engine) {
+  return verifyOne(torus, lcl, labels, engine, false).feasible;
+}
+
+std::int64_t countViolations(const Torus2D& torus, const GridLcl& lcl,
+                             std::span<const int> labels,
+                             const engine::EngineOptions& engine) {
+  return verifyOne(torus, lcl, labels, engine, true).violations;
+}
+
+bool verify(const TorusD& torus, const GridLclD& lcl,
+            std::span<const int> labels, const engine::EngineOptions& engine) {
+  return verifyOne(torus, lcl, labels, engine, false).feasible;
+}
+
+std::int64_t countViolations(const TorusD& torus, const GridLclD& lcl,
+                             std::span<const int> labels,
+                             const engine::EngineOptions& engine) {
+  return verifyOne(torus, lcl, labels, engine, true).violations;
 }
 
 }  // namespace lclgrid

@@ -9,8 +9,6 @@
 #include <utility>
 #include <vector>
 
-#include "lcl/verify_probes.hpp"
-
 // Runtime-dispatched wide clones of the bit-sliced word loops, following
 // the transpose's dispatch mechanism in label_planes.cpp: baseline builds
 // compile the AVX2/AVX-512 workers with target attributes and select them
@@ -813,36 +811,7 @@ std::int64_t functionalViolations(const Torus2D& torus, const GridLcl& lcl,
   return bad;
 }
 
-template <bool StopAtFirst>
-std::int64_t violationsKernel(const Torus2D& torus, const GridLcl& lcl,
-                              std::span<const int> labels) {
-  if (static_cast<int>(labels.size()) != torus.size()) {
-    throw std::invalid_argument("verifier: labelling size mismatch");
-  }
-  using verify_probes::Tier;
-  if (lcl.hasTable() &&
-      verifier_detail::allLabelsInRange(lcl.sigma(), labels)) {
-    if (verifier_detail::bitsliceSelected(lcl, torus.size())) {
-      verify_probes::recordCall(Tier::kBitsliced, torus.size());
-      telemetry::ScopedSpan span(verify_probes::spanName(Tier::kBitsliced));
-      return bitsliceViolations<StopAtFirst>(*lcl.table().bitslicePlan(),
-                                             torus.n(), torus.n(),
-                                             labels.data(), 0, torus.n());
-    }
-    verify_probes::recordCall(Tier::kTable, torus.size());
-    telemetry::ScopedSpan span(verify_probes::spanName(Tier::kTable));
-    return tableViolations<StopAtFirst>(lcl.table(), torus.n(), labels.data(),
-                                        0, torus.n());
-  }
-  verify_probes::recordCall(Tier::kFunctional, torus.size());
-  telemetry::ScopedSpan span(verify_probes::spanName(Tier::kFunctional));
-  return functionalViolations<StopAtFirst>(torus, lcl, labels, 0,
-                                           torus.size());
-}
-
 }  // namespace
-
-using verifier_detail::batchCount;
 
 std::vector<Violation> listViolations(const Torus2D& torus, const GridLcl& lcl,
                                       std::span<const int> labels,
@@ -876,59 +845,6 @@ std::vector<Violation> listViolations(const Torus2D& torus, const GridLcl& lcl,
   return violations;
 }
 
-bool verify(const Torus2D& torus, const GridLcl& lcl,
-            std::span<const int> labels) {
-  return violationsKernel<true>(torus, lcl, labels) == 0;
-}
-
-std::int64_t countViolations(const Torus2D& torus, const GridLcl& lcl,
-                             std::span<const int> labels) {
-  return violationsKernel<false>(torus, lcl, labels);
-}
-
-std::vector<std::uint8_t> verifyBatch(const Torus2D& torus, const GridLcl& lcl,
-                                      std::span<const int> labelsBatch) {
-  const std::size_t count = batchCount(torus, labelsBatch);
-  const std::size_t stride = static_cast<std::size_t>(torus.size());
-  std::vector<std::uint8_t> feasible(count, 0);
-  for (std::size_t i = 0; i < count; ++i) {
-    feasible[i] = violationsKernel<true>(
-                      torus, lcl, labelsBatch.subspan(i * stride, stride)) == 0
-                      ? 1
-                      : 0;
-  }
-  return feasible;
-}
-
-std::vector<std::int64_t> countViolationsBatch(
-    const Torus2D& torus, const GridLcl& lcl,
-    std::span<const int> labelsBatch) {
-  const std::size_t count = batchCount(torus, labelsBatch);
-  const std::size_t stride = static_cast<std::size_t>(torus.size());
-  std::vector<std::int64_t> violations(count, 0);
-  for (std::size_t i = 0; i < count; ++i) {
-    violations[i] = violationsKernel<false>(
-        torus, lcl, labelsBatch.subspan(i * stride, stride));
-  }
-  return violations;
-}
-
-std::vector<std::uint8_t> verifyBatch(
-    const GridLcl& lcl, std::span<const LabellingInstance> instances) {
-  std::vector<std::uint8_t> feasible(instances.size(), 0);
-  for (std::size_t i = 0; i < instances.size(); ++i) {
-    const LabellingInstance& instance = instances[i];
-    if (instance.torus == nullptr) {
-      throw std::invalid_argument("verifyBatch: null torus in instance");
-    }
-    feasible[i] =
-        violationsKernel<true>(*instance.torus, lcl, instance.labels) == 0
-            ? 1
-            : 0;
-  }
-  return feasible;
-}
-
 namespace verifier_detail {
 
 bool allLabelsInRange(int sigma, std::span<const int> labels) {
@@ -938,16 +854,6 @@ bool allLabelsInRange(int sigma, std::span<const int> labels) {
     }
   }
   return true;
-}
-
-std::size_t batchCount(const Torus2D& torus,
-                       std::span<const int> labelsBatch) {
-  const std::size_t stride = static_cast<std::size_t>(torus.size());
-  if (stride == 0 || labelsBatch.size() % stride != 0) {
-    throw std::invalid_argument(
-        "verifier: batch size is not a multiple of torus.size()");
-  }
-  return labelsBatch.size() / stride;
 }
 
 std::int64_t tableViolationRows(const LclTable& table, int n,

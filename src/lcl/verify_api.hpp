@@ -1,9 +1,8 @@
-// The unified verification front door. The engine grew four kernel tiers
-// and three execution regimes (serial / pool-sharded / out-of-core
-// streaming), each with its own overload family across verifier.hpp and
-// stream_verify.hpp -- 20+ entry points for what is semantically one
-// question ("is this labelling feasible, and how many nodes violate?").
-// This header collapses them behind one request/options/result triple:
+// The verification front door: the one implementation behind every check
+// of a labelling in the library. A request names the problem, the
+// instance (inline labels, a back-to-back batch, or an LCLLABv1 file) and
+// the options; verify() selects the kernel tier, the regime (serial,
+// pool-sharded or out-of-core streaming) and dispatches:
 //
 //   VerifyRequest request;
 //   request.problem = &lcl;            // or problemD, or a fingerprint +
@@ -13,22 +12,26 @@
 //   VerifyResult result = verify(request);
 //   // result.feasible, result.violations, result.tier, result.nanos
 //
-// Semantics are exactly the documented overload semantics (verifier.hpp):
-// verify-mode early-exits at the first violation, count-mode reports the
-// exact total, and counts are bit-identical on every kernel tier and thread
-// count. The old overloads remain as a thin compatibility surface -- the
-// threaded ones (engine/parallel_verifier.cpp) now *forward* through this
-// API -- and the verification service daemon (src/service) dispatches
-// exclusively through it.
+// Semantics: verify-mode early-exits at the first violation (first
+// violating 64-node word on the bit-sliced tier, first violating shard
+// chunk when threaded, first violating slab when streaming); count-mode
+// scans everything and reports the exact total. Counts are bit-identical
+// on every kernel tier, thread count and transport, and the two modes
+// agree on feasibility. The verification service daemon (src/service)
+// dispatches exclusively through this entry point; the four
+// single-labelling conveniences at the end only fill a request.
 //
 // Tier selection and pinning: by default (TierPin::kAuto) the request runs
-// the tier the engine selects per docs/perf.md -- the same rules as every
-// overload. A pinned tier runs exactly that kernel, bypassing the
-// bit-slice node floor and the LCLGRID_BITSLICE gate, and throws
-// std::invalid_argument when the problem/instance cannot run it (no
-// compiled table, no bit-slice plan, out-of-range labels). Streaming
-// requests (a file or labellingPath) always report VerifyTier::kStream and
-// accept only kAuto.
+// the tier the engine selects per docs/perf.md. A pinned tier runs exactly
+// that kernel, bypassing the bit-slice node floor and the LCLGRID_BITSLICE
+// gate, and throws std::invalid_argument when the problem/instance cannot
+// run it (no compiled table, no bit-slice plan, out-of-range labels).
+// Streaming requests (a file or labellingPath) always report
+// VerifyTier::kStream and accept only kAuto.
+//
+// Thread-safety: verify() only reads the torus, the problem and the label
+// buffers; uncompiled problems must carry re-entrant predicates (every
+// problem in the library does).
 //
 // Implemented in src/engine/verify_api.cpp -- link lclgrid_engine (or the
 // umbrella `lclgrid` target).
@@ -89,8 +92,8 @@ struct VerifyRequest {
   const Torus2D* torus = nullptr;
   const TorusD* torusD = nullptr;
   /// One labelling (labels.size() == torus size) or a back-to-back batch
-  /// (a whole multiple); the batch runs one labelling per work item, like
-  /// verifyBatch / countViolationsBatch.
+  /// (a whole multiple); the batch runs one labelling per work item
+  /// (EngineOptions::grain then counts labellings).
   std::span<const int> labels;
   /// An already-open LCLLABv1 labelling (streamed zero-copy), or ...
   const StreamLabelling* file = nullptr;
@@ -113,10 +116,9 @@ struct VerifyResult {
   /// aggregate fields alone, keeping the hot path allocation-free.
   std::vector<std::uint8_t> feasiblePerLabelling;
   std::vector<std::int64_t> violationsPerLabelling;  // count mode only
-  /// The tier the request dispatched to. Batches select per labelling --
-  /// exactly like the batch overloads -- and report the first labelling's
-  /// selection (an out-of-range labelling later in the batch still falls
-  /// back functionally on its own).
+  /// The tier the request dispatched to. Batches select per labelling and
+  /// report the first labelling's selection (an out-of-range labelling
+  /// later in the batch still falls back functionally on its own).
   VerifyTier tier = VerifyTier::kFunctional;
   /// Fingerprint of the problem's compiled table (0 when uncompiled).
   std::uint64_t fingerprint = 0;
@@ -130,8 +132,33 @@ struct VerifyResult {
 /// dispatches. Throws std::invalid_argument on malformed requests (no/
 /// ambiguous problem, missing instance, size or dimension mismatches,
 /// unsatisfiable tier pin) and std::runtime_error for unreadable labelling
-/// files. Counts are bit-identical to the per-tier overloads at every
-/// thread count.
+/// files. Counts are bit-identical across tiers and thread counts.
 VerifyResult verify(const VerifyRequest& request);
+
+// --- single-labelling conveniences ------------------------------------------
+// Each fills a VerifyRequest for one labelling (labels.size() must equal
+// the torus size -- std::invalid_argument otherwise, never a silent batch)
+// and returns its verdict / exact violation count. Out-of-alphabet labels
+// count as violated nodes.
+
+/// True iff the labelling is a feasible solution of the LCL on the torus.
+bool verify(const Torus2D& torus, const GridLcl& lcl,
+            std::span<const int> labels,
+            const engine::EngineOptions& engine = {.threads = 1});
+
+/// Number of violated node constraints.
+std::int64_t countViolations(const Torus2D& torus, const GridLcl& lcl,
+                             std::span<const int> labels,
+                             const engine::EngineOptions& engine = {
+                                 .threads = 1});
+
+bool verify(const TorusD& torus, const GridLclD& lcl,
+            std::span<const int> labels,
+            const engine::EngineOptions& engine = {.threads = 1});
+
+std::int64_t countViolations(const TorusD& torus, const GridLclD& lcl,
+                             std::span<const int> labels,
+                             const engine::EngineOptions& engine = {
+                                 .threads = 1});
 
 }  // namespace lclgrid

@@ -1,9 +1,8 @@
 // Shared kernel-tier attribution probes for the verification engine
-// (support/telemetry.hpp): verifier.cpp, verifier_d.cpp, stream_verify.cpp
-// and engine/parallel_verifier.cpp all funnel their tier dispatch through
-// recordCall() so the four tiers share one set of counter names whatever
-// the entry point. All of this compiles to nothing with
-// -DLCLGRID_TELEMETRY=OFF.
+// (support/telemetry.hpp): engine/verify_api.cpp (the in-core tiers) and
+// stream_verify.cpp (the streaming pass) funnel their tier dispatch through
+// recordCall() so the four tiers share one set of counter names. All of
+// this compiles to nothing with -DLCLGRID_TELEMETRY=OFF.
 #pragma once
 
 #include <cstddef>

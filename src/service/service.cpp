@@ -108,6 +108,26 @@ std::uint8_t tierPinOf(const std::string& name) {
   throw std::invalid_argument("service: unknown tier pin \"" + name + "\"");
 }
 
+/// A JSON request's problem fingerprint: an integer, or the "0x" + hex
+/// string every response carries (JsonWriter::hex), so a client can send
+/// back what it was given.
+std::uint64_t fingerprintOf(const JsonValue& value) {
+  if (value.kind() != JsonValue::Kind::String) {
+    return static_cast<std::uint64_t>(value.asInt());
+  }
+  const std::string& text = value.asString();
+  const bool prefixed =
+      text.size() > 2 && text[0] == '0' && (text[1] == 'x' || text[1] == 'X');
+  if (!prefixed || text.size() > 18 ||
+      text.find_first_not_of("0123456789abcdefABCDEF", 2) !=
+          std::string::npos) {
+    throw std::invalid_argument(
+        "service: fingerprint must be an integer or a 0x-prefixed hex string "
+        "of at most 16 digits");
+  }
+  return std::stoull(text.substr(2), nullptr, 16);
+}
+
 std::string jsonErrorLine(std::uint32_t requestId, std::string_view message) {
   JsonWriter json;
   json.beginObject();
@@ -585,9 +605,8 @@ bool VerificationService::admit(Task task) {
   queueCv_.notify_one();
   queueGauge_.set(static_cast<std::int64_t>(depth));
   std::lock_guard lock(countersMutex_);
-  counters_.queueDepth = static_cast<std::int64_t>(depth);
   counters_.queuePeakDepth =
-      std::max(counters_.queuePeakDepth, counters_.queueDepth);
+      std::max(counters_.queuePeakDepth, static_cast<std::int64_t>(depth));
   return true;
 }
 
@@ -608,10 +627,9 @@ void VerificationService::workerLoop() {
       }
       task = std::move(queue_.front());
       queue_.pop_front();
-      counters_.queueDepth = static_cast<std::int64_t>(queue_.size());
-      queueDepthAtomic_.store(counters_.queueDepth,
-                              std::memory_order_relaxed);
-      queueGauge_.set(counters_.queueDepth);
+      const auto depth = static_cast<std::int64_t>(queue_.size());
+      queueDepthAtomic_.store(depth, std::memory_order_relaxed);
+      queueGauge_.set(depth);
       // Incremented under the queue lock so stop()'s drain wait can never
       // observe queue == 0 && executing == 0 while a popped task is still
       // between the pop and its execution.
@@ -751,8 +769,7 @@ void VerificationService::executeJson(Task& task) {
         std::vector<int> labels;  // owns what the frame's span views
         if (const JsonValue* fingerprint = request.find("fingerprint")) {
           frame.problemRef = ProblemRefKind::kFingerprint;
-          frame.fingerprint =
-              static_cast<std::uint64_t>(fingerprint->asInt());
+          frame.fingerprint = fingerprintOf(*fingerprint);
         } else {
           frame.spec = request.at("problem").asString();
         }
@@ -825,8 +842,7 @@ void VerificationService::executeJson(Task& task) {
         ClassifyRequestFrame frame;
         if (const JsonValue* fingerprint = request.find("fingerprint")) {
           frame.problemRef = ProblemRefKind::kFingerprint;
-          frame.fingerprint =
-              static_cast<std::uint64_t>(fingerprint->asInt());
+          frame.fingerprint = fingerprintOf(*fingerprint);
         } else {
           frame.spec = request.at("problem").asString();
         }
@@ -1014,8 +1030,15 @@ std::string VerificationService::runClassify(
 // --- stats ------------------------------------------------------------------
 
 ServiceCounters VerificationService::counters() const {
-  std::lock_guard lock(countersMutex_);
-  return counters_;
+  ServiceCounters counters;
+  {
+    std::lock_guard lock(countersMutex_);
+    counters = counters_;
+  }
+  // The queue depth has one writer-side home, the queue's own atomic; the
+  // mutex-guarded copy would race the workers' pops.
+  counters.queueDepth = queueDepthAtomic_.load(std::memory_order_relaxed);
+  return counters;
 }
 
 std::string VerificationService::statsJson() const {

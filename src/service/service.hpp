@@ -16,8 +16,7 @@
 //    an over-limit request is answered with an explicit kBusy frame and not
 //    executed, never silently dropped;
 //  * serviceThreads worker threads drain the queue and execute requests
-//    through the unified front doors -- verify(VerifyRequest) and
-//    engine::classify() -- never through the legacy overloads;
+//    through the front doors verify(VerifyRequest) and engine::classify();
 //  * problems resolve through a fingerprint-indexed LRU cache of compiled
 //    problems (spec -> GridLcl/GridLclD, fingerprint -> GridLcl) and oracle
 //    reports reuse an engine::ReportCache, both capacity-bounded;
@@ -29,9 +28,7 @@
 // config.engineThreads. The default 1 runs each request serially on its
 // worker -- the daemon's parallelism is across requests (serviceThreads),
 // which is the high-QPS regime. engineThreads > 1 parallelises single
-// large requests instead, at a private-pool setup cost per request
-// (engine/thread_pool.hpp: a pool's task queues are fed by one caller at a
-// time, so concurrent workers cannot share one pool safely).
+// large requests instead, at a private-pool setup cost per request.
 #pragma once
 
 #include <atomic>
@@ -234,7 +231,8 @@ class VerificationService {
   std::atomic<bool> draining_{false};
   /// The drain deadline expired: workers answer queued tasks kTimeout.
   std::atomic<bool> cancelQueued_{false};
-  /// Queue depth mirrored atomically for lock-free shed checks.
+  /// Queue depth, stored under queueMutex_ at every push and pop and read
+  /// lock-free by the shed checks and counters().
   std::atomic<std::int64_t> queueDepthAtomic_{0};
   /// Requests currently executing on workers (the drain wait's second
   /// condition next to an empty queue).

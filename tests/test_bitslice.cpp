@@ -17,6 +17,8 @@
 #include "lcl/label_planes.hpp"
 #include "lcl/problems.hpp"
 #include "lcl/verifier.hpp"
+#include "lcl/verify_api.hpp"
+#include "verify_testing.hpp"
 
 using namespace lclgrid;
 
@@ -388,9 +390,9 @@ TEST(BitsliceVerifier, BatchEntriesAgreeWithSerialKernel) {
     batch.insert(batch.end(), labels.begin(), labels.end());
   }
   bitslice::setEnabled(true);
-  EXPECT_EQ(countViolationsBatch(torus, lcl, batch), expected);
+  EXPECT_EQ(verify_testing::batchCounts(torus, lcl, batch), expected);
   engine::EngineOptions options{.threads = 4};
-  EXPECT_EQ(countViolationsBatch(torus, lcl, batch, options), expected);
+  EXPECT_EQ(verify_testing::batchCounts(torus, lcl, batch, options), expected);
 }
 
 namespace {

@@ -6,6 +6,7 @@
 #include <numeric>
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -14,9 +15,11 @@
 #include "engine/thread_pool.hpp"
 #include "grid/torus2d.hpp"
 #include "lcl/problems.hpp"
-#include "lcl/verifier.hpp"
+#include "lcl/verify_api.hpp"
+#include "verify_testing.hpp"
 
 using namespace lclgrid;
+using namespace lclgrid::verify_testing;
 
 namespace {
 
@@ -145,6 +148,34 @@ TEST(ThreadPool, ExceptionsPropagateToCaller) {
   EXPECT_EQ(ran.load(), 10);
 }
 
+TEST(ThreadPool, OnePoolSharedByConcurrentCallers) {
+  // The "safe to share" contract: several external threads feeding one
+  // pool at once each get exactly their own reductions back.
+  engine::ThreadPool pool(4);
+  constexpr int kCallers = 4;
+  constexpr int kCallsPerCaller = 2000;
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> callers;
+  for (int caller = 0; caller < kCallers; ++caller) {
+    callers.emplace_back([&pool, &wrong, caller] {
+      for (int call = 0; call < kCallsPerCaller; ++call) {
+        const std::int64_t end = 100 + (caller * 37 + call) % 900;
+        const std::int64_t sum = pool.parallelReduce(
+            0, end, /*grain=*/64, std::int64_t{0},
+            [caller](std::int64_t begin, std::int64_t stop) {
+              std::int64_t partial = 0;
+              for (std::int64_t i = begin; i < stop; ++i) partial += i + caller;
+              return partial;
+            },
+            [](std::int64_t a, std::int64_t b) { return a + b; });
+        if (sum != end * (end - 1) / 2 + caller * end) wrong.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& caller : callers) caller.join();
+  EXPECT_EQ(wrong.load(), 0);
+}
+
 TEST(EngineVerifier, CountsBitIdenticalToSerialForRegistry) {
   for (const GridLcl& lcl : problemRegistry()) {
     for (int n : {3, 4, 5, 8}) {
@@ -153,14 +184,15 @@ TEST(EngineVerifier, CountsBitIdenticalToSerialForRegistry) {
         const bool garbage = seed == 2u;
         auto labels =
             randomLabels(torus.size(), lcl.sigma(), seed * 977, garbage);
-        const std::int64_t serial = countViolations(torus, lcl, labels);
-        const bool serialOk = verify(torus, lcl, labels);
+        const std::int64_t serial = referenceCount(torus, lcl, labels);
+        EXPECT_EQ(countViolations(torus, lcl, labels), serial) << lcl.name();
+        EXPECT_EQ(verify(torus, lcl, labels), serial == 0) << lcl.name();
         for (int threads : {1, 2, 8}) {
           engine::ThreadPool pool(threads);
           engine::EngineOptions options{.threads = threads, .pool = &pool};
           EXPECT_EQ(countViolations(torus, lcl, labels, options), serial)
               << lcl.name() << " n=" << n << " threads=" << threads;
-          EXPECT_EQ(verify(torus, lcl, labels, options), serialOk)
+          EXPECT_EQ(verify(torus, lcl, labels, options), serial == 0)
               << lcl.name() << " n=" << n << " threads=" << threads;
         }
       }
@@ -180,15 +212,17 @@ TEST(EngineVerifier, BatchesBitIdenticalToSerialForRegistry) {
                                    /*withGarbage=*/i == 3);
         batch.insert(batch.end(), labels.begin(), labels.end());
       }
-      const auto serialFeasible = verifyBatch(torus, lcl, batch);
-      const auto serialCounts = countViolationsBatch(torus, lcl, batch);
+      const auto serialCounts = referenceCounts(torus, lcl, batch);
+      std::vector<std::uint8_t> serialFeasible;
+      for (std::int64_t count : serialCounts) {
+        serialFeasible.push_back(count == 0 ? 1 : 0);
+      }
       for (int threads : {1, 2, 8}) {
         engine::ThreadPool pool(threads);
         engine::EngineOptions options{.threads = threads, .pool = &pool};
-        EXPECT_EQ(verifyBatch(torus, lcl, batch, options), serialFeasible)
+        EXPECT_EQ(batchVerdicts(torus, lcl, batch, options), serialFeasible)
             << lcl.name() << " n=" << n << " threads=" << threads;
-        EXPECT_EQ(countViolationsBatch(torus, lcl, batch, options),
-                  serialCounts)
+        EXPECT_EQ(batchCounts(torus, lcl, batch, options), serialCounts)
             << lcl.name() << " n=" << n << " threads=" << threads;
       }
     }
@@ -196,34 +230,54 @@ TEST(EngineVerifier, BatchesBitIdenticalToSerialForRegistry) {
 }
 
 TEST(EngineVerifier, HeterogeneousBatchMatchesSerial) {
+  // Tori of mixed sizes (one above the bit-slice node floor) verified by
+  // concurrent callers sharing one pool: each request honours its own
+  // geometry and matches the serial reference.
   GridLcl lcl = problems::vertexColouring(4);
-  Torus2D small(4), medium(6), large(8);
-  auto a = randomLabels(small.size(), lcl.sigma(), 7);
-  auto b = randomLabels(medium.size(), lcl.sigma(), 8);
-  auto c = randomLabels(large.size(), lcl.sigma(), 9);
-  std::vector<LabellingInstance> instances = {
-      {&small, a}, {&medium, b}, {&large, c}};
-  const auto serial = verifyBatch(lcl, instances);
+  const std::vector<Torus2D> tori = {Torus2D(4), Torus2D(6), Torus2D(8),
+                                     Torus2D(17)};
+  std::vector<std::vector<int>> labellings;
+  std::vector<std::int64_t> serial;
+  for (std::size_t i = 0; i < tori.size(); ++i) {
+    labellings.push_back(randomLabels(tori[i].size(), lcl.sigma(),
+                                      7 + static_cast<std::uint32_t>(i)));
+    serial.push_back(referenceCount(tori[i], lcl, labellings[i]));
+  }
   for (int threads : {1, 2, 8}) {
     engine::ThreadPool pool(threads);
-    engine::EngineOptions options{.threads = threads, .pool = &pool};
-    EXPECT_EQ(verifyBatch(lcl, instances, options), serial)
-        << "threads=" << threads;
+    const engine::EngineOptions options{.threads = threads, .pool = &pool};
+    std::atomic<int> wrong{0};
+    std::vector<std::thread> callers;
+    for (std::size_t i = 0; i < tori.size(); ++i) {
+      callers.emplace_back([&, i] {
+        for (int round = 0; round < 20; ++round) {
+          if (countViolations(tori[i], lcl, labellings[i], options) !=
+                  serial[i] ||
+              verify(tori[i], lcl, labellings[i], options) != (serial[i] == 0)) {
+            wrong.fetch_add(1);
+          }
+        }
+      });
+    }
+    for (std::thread& caller : callers) caller.join();
+    EXPECT_EQ(wrong.load(), 0) << "threads=" << threads;
   }
 }
 
 TEST(EngineVerifier, SingleLabellingBatchUsesRowSharding) {
   // A batch of one labelling on a big torus still parallelises (by rows);
-  // results must match the serial batch entry points.
+  // results must match the serial reference.
   GridLcl lcl = problems::maximalIndependentSet();
   Torus2D torus(32);
   auto labels = randomLabels(torus.size(), lcl.sigma(), 21);
+  const std::int64_t serial = referenceCount(torus, lcl, labels);
   engine::ThreadPool pool(4);
   engine::EngineOptions options{.threads = 4, .pool = &pool};
-  EXPECT_EQ(verifyBatch(torus, lcl, labels, options),
-            verifyBatch(torus, lcl, labels));
-  EXPECT_EQ(countViolationsBatch(torus, lcl, labels, options),
-            countViolationsBatch(torus, lcl, labels));
+  EXPECT_EQ(batchVerdicts(torus, lcl, labels, options),
+            std::vector<std::uint8_t>{serial == 0 ? std::uint8_t{1}
+                                                  : std::uint8_t{0}});
+  EXPECT_EQ(batchCounts(torus, lcl, labels, options),
+            std::vector<std::int64_t>{serial});
 }
 
 TEST(EngineVerifier, SizeMismatchThrowsLikeSerial) {

@@ -3,7 +3,7 @@
 #include "lcl/combinators.hpp"
 #include "lcl/global_solver.hpp"
 #include "lcl/problems.hpp"
-#include "lcl/verifier.hpp"
+#include "lcl/verify_api.hpp"
 #include "local/graph_view.hpp"
 #include "local/luby_mis.hpp"
 #include "local/mis.hpp"

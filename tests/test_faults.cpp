@@ -29,13 +29,17 @@
 #include "engine/thread_pool.hpp"
 #include "lcl/problems.hpp"
 #include "lcl/stream_verify.hpp"
+#include "lcl/verify_api.hpp"
 #include "service/client.hpp"
 #include "service/protocol.hpp"
 #include "service/retry.hpp"
 #include "service/service.hpp"
 #include "support/faultpoint.hpp"
+#include "verify_testing.hpp"
 
 using namespace lclgrid;
+using verify_testing::referenceCount;
+using verify_testing::streamCount;
 namespace fp = support::faultpoint;
 using service::DisconnectError;
 using service::RemoteError;
@@ -386,7 +390,7 @@ TEST(StreamFaults, CheckpointWriteFailureDegradesToNoCheckpoint) {
   writeLabellingFile(file.str(), 4, 2, n, labels);
   StreamLabelling mapped(file.str());
   const GridLcl lcl = problems::vertexColouring(4);
-  const std::int64_t reference = streamCountViolations(mapped, lcl);
+  const std::int64_t reference = referenceCount(Torus2D(n), lcl, labels);
 
   TempFile checkpoint("faults-ckpt-degrade-ckpt");
   StreamWindow window;
@@ -395,7 +399,7 @@ TEST(StreamFaults, CheckpointWriteFailureDegradesToNoCheckpoint) {
   fp::armEntry("stream.checkpoint_write:errno=EIO");  // every attempt fails
   // The count must still be exact -- a checkpoint is an optimisation, its
   // failure must never fail (or skew) verification.
-  EXPECT_EQ(streamCountViolations(mapped, lcl, window), reference);
+  EXPECT_EQ(streamCount(mapped, lcl, window), reference);
   EXPECT_FALSE(checkpoint.exists());
 }
 
@@ -442,15 +446,17 @@ TEST(StreamCrashResume, BitIdenticalAcrossAbortAtSlabBoundaries) {
   writeLabellingFile(file.str(), 4, 2, n, labels);
   const GridLcl lcl = problems::vertexColouring(4);
 
-  std::int64_t reference;
+  const std::int64_t reference = referenceCount(Torus2D(n), lcl, labels);
+  ASSERT_GT(reference, 0);
   {
     StreamLabelling mapped(file.str());
-    reference = streamCountViolations(mapped, lcl);
-    ASSERT_GT(reference, 0);
+    ASSERT_EQ(streamCount(mapped, lcl), reference);
   }
 
   // Kill the pass immediately after its 1st, 2nd and 4th durable
-  // checkpoint write -- three DISTINCT slab boundaries -- then resume.
+  // checkpoint write -- three DISTINCT slab boundaries -- then resume,
+  // serially and sharded (checkpoints record exact row-range sums, so the
+  // resuming pass's thread count is free).
   for (const int killAfter : {1, 2, 4}) {
     TempFile checkpoint("faults-resume-ckpt");
     StreamWindow window;
@@ -466,7 +472,7 @@ TEST(StreamCrashResume, BitIdenticalAcrossAbortAtSlabBoundaries) {
                    std::to_string(killAfter));
       try {
         StreamLabelling mapped(file.str());
-        (void)streamCountViolations(mapped, lcl, window);
+        (void)streamCount(mapped, lcl, window);
       } catch (...) {
       }
       _exit(0);  // reached only if the abort never fired
@@ -481,7 +487,9 @@ TEST(StreamCrashResume, BitIdenticalAcrossAbortAtSlabBoundaries) {
     // The resumed pass picks the cursor up mid-file and lands on the
     // EXACT uninterrupted count.
     StreamLabelling mapped(file.str());
-    EXPECT_EQ(streamCountViolations(mapped, lcl, window), reference)
+    const int resumeThreads = killAfter == 1 ? 1 : 2 * killAfter;
+    EXPECT_EQ(streamCount(mapped, lcl, window, {.threads = resumeThreads}),
+              reference)
         << "killAfter=" << killAfter;
     // Completion removes the sidecar.
     EXPECT_FALSE(checkpoint.exists()) << "killAfter=" << killAfter;
@@ -496,7 +504,7 @@ TEST(StreamCrashResume, StaleFingerprintRestartsFromScratch) {
   writeLabellingFile(file.str(), 4, 2, n, labels);
   const GridLcl lcl = problems::vertexColouring(4);
   StreamLabelling mapped(file.str());
-  const std::int64_t reference = streamCountViolations(mapped, lcl);
+  const std::int64_t reference = referenceCount(Torus2D(n), lcl, labels);
 
   // A checkpoint from "some other file": the fingerprints cannot match,
   // so the pass must ignore it and still produce the exact count.
@@ -512,7 +520,7 @@ TEST(StreamCrashResume, StaleFingerprintRestartsFromScratch) {
   StreamWindow window;
   window.rows = 2;
   window.checkpointPath = checkpoint.str();
-  EXPECT_EQ(streamCountViolations(mapped, lcl, window), reference);
+  EXPECT_EQ(streamCount(mapped, lcl, window), reference);
   EXPECT_FALSE(checkpoint.exists());
 }
 
@@ -733,8 +741,8 @@ TEST(Retry, DaemonErrorsNeverRetry) {
   daemon.start();
   RetryPolicy policy;
   RetryingClient client(ServiceClient::connectTcp(daemon.port()), policy);
-  service::VerifyRequestFrame bad =
-      verifyFrame("no-such-problem", 6, properFourColouring(6));
+  const std::vector<int> labels = properFourColouring(6);  // outlives `bad`
+  service::VerifyRequestFrame bad = verifyFrame("no-such-problem", 6, labels);
   EXPECT_THROW(client.verify(bad), RemoteError);
   EXPECT_EQ(client.retryStats().attempts, 1);  // one try, no retry storm
   daemon.stop();
@@ -820,8 +828,7 @@ TEST(FaultRegistry, EveryHardenedPointIsRegistered) {
     StreamWindow window;
     window.rows = 2;
     window.checkpointPath = checkpoint.str();
-    (void)streamCountViolations(mapped, problems::vertexColouring(4),
-                                window);
+    (void)streamCount(mapped, problems::vertexColouring(4), window);
   }
   {
     // submit() routes through the worker's loop (parallelFor's helping

@@ -2,7 +2,7 @@
 // in the library the LclTable must agree with the raw constructor predicate
 // on all of sigma^5, and the derived data (projections, decomposability,
 // trivial labels) must match the seed's brute-force definitions. Also
-// covers the table-composing combinators, the batched verifier and the
+// covers the table-composing combinators, batch verification and the
 // compiled cycle window tables.
 #include <gtest/gtest.h>
 
@@ -10,10 +10,13 @@
 #include <vector>
 
 #include "cycle/cycle_lcl.hpp"
+#include "engine/thread_pool.hpp"
 #include "lcl/combinators.hpp"
 #include "lcl/grid_lcl.hpp"
 #include "lcl/problems.hpp"
 #include "lcl/verifier.hpp"
+#include "lcl/verify_api.hpp"
+#include "verify_testing.hpp"
 
 namespace lclgrid {
 namespace {
@@ -305,13 +308,13 @@ TEST(BatchVerifier, BatchOverManyLabellings) {
   batch.insert(batch.end(), bad.begin(), bad.end());
   batch.insert(batch.end(), good.begin(), good.end());
 
-  auto feasible = verifyBatch(torus, lcl, batch);
+  auto feasible = verify_testing::batchVerdicts(torus, lcl, batch);
   ASSERT_EQ(feasible.size(), 3u);
   EXPECT_EQ(feasible[0] != 0, goodFeasible);
   EXPECT_EQ(feasible[1], 0);
   EXPECT_EQ(feasible[2] != 0, goodFeasible);
 
-  auto counts = countViolationsBatch(torus, lcl, batch);
+  auto counts = verify_testing::batchCounts(torus, lcl, batch);
   ASSERT_EQ(counts.size(), 3u);
   EXPECT_EQ(counts[0], countViolations(torus, lcl, good));
   EXPECT_EQ(counts[1], countViolations(torus, lcl, bad));
@@ -322,10 +325,14 @@ TEST(BatchVerifier, RejectsMisalignedBatch) {
   Torus2D torus(4);
   auto lcl = problems::vertexColouring(2);
   std::vector<int> batch(torus.size() + 1, 0);
-  EXPECT_THROW(verifyBatch(torus, lcl, batch), std::invalid_argument);
+  EXPECT_THROW(
+      verify(verify_testing::inCoreRequest(torus, lcl, batch, false)),
+      std::invalid_argument);
 }
 
 TEST(BatchVerifier, HeterogeneousToriInOnePass) {
+  // Instances of different sizes through one shared pool: every request
+  // carries its own geometry.
   Torus2D small(4), large(8);
   auto lcl = problems::vertexColouring(2);
   auto smallLabels = diagonalColouring(small, 2);
@@ -333,13 +340,11 @@ TEST(BatchVerifier, HeterogeneousToriInOnePass) {
   auto badLabels = smallLabels;
   badLabels[3] = badLabels[3] == 0 ? 1 : 0;
 
-  std::vector<LabellingInstance> instances = {
-      {&small, smallLabels}, {&large, largeLabels}, {&small, badLabels}};
-  auto feasible = verifyBatch(lcl, instances);
-  ASSERT_EQ(feasible.size(), 3u);
-  EXPECT_EQ(feasible[0], 1);
-  EXPECT_EQ(feasible[1], 1);
-  EXPECT_EQ(feasible[2], 0);
+  engine::ThreadPool pool(2);
+  const engine::EngineOptions options{.threads = 2, .pool = &pool};
+  EXPECT_TRUE(verify(small, lcl, smallLabels, options));
+  EXPECT_TRUE(verify(large, lcl, largeLabels, options));
+  EXPECT_FALSE(verify(small, lcl, badLabels, options));
 }
 
 TEST(BatchVerifier, OutOfAlphabetLabelsStillRejected) {
@@ -441,8 +446,11 @@ TEST(Fingerprint, EqualTablesHashEqualAcrossConstructionPaths) {
     EXPECT_EQ(table.fingerprint(), remapped.fingerprint()) << lcl.name();
   }
 
-  const LclTable& p = problems::independentSet().table();
-  const LclTable& q = problems::maximalIndependentSet().table();
+  // Named problems: table() refers into the problem, which must outlive p/q.
+  const GridLcl independent = problems::independentSet();
+  const GridLcl mis = problems::maximalIndependentSet();
+  const LclTable& p = independent.table();
+  const LclTable& q = mis.table();
   EXPECT_EQ(LclTable::disjointUnion(p, q).fingerprint(),
             LclTable::disjointUnion(p, q).fingerprint());
 }

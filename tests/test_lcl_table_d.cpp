@@ -23,6 +23,8 @@
 #include "lcl/lcl_table_d.hpp"
 #include "lcl/problems.hpp"
 #include "lcl/verifier.hpp"
+#include "lcl/verify_api.hpp"
+#include "verify_testing.hpp"
 
 namespace lclgrid {
 namespace {
@@ -386,15 +388,15 @@ TEST(VerifierD, BatchesMatchSingleCalls) {
     batch.insert(batch.end(), labels.begin(), labels.end());
     expectedCounts.push_back(countViolations(torus, lcl, labels));
   }
-  EXPECT_EQ(countViolationsBatch(torus, lcl, batch), expectedCounts);
-  const auto feasible = verifyBatch(torus, lcl, batch);
+  EXPECT_EQ(verify_testing::batchCounts(torus, lcl, batch), expectedCounts);
+  const auto feasible = verify_testing::batchVerdicts(torus, lcl, batch);
   ASSERT_EQ(feasible.size(), static_cast<std::size_t>(batchSize));
   for (int i = 0; i < batchSize; ++i) {
     EXPECT_EQ(feasible[static_cast<std::size_t>(i)] != 0,
               expectedCounts[static_cast<std::size_t>(i)] == 0);
   }
   std::vector<int> ragged(batch.begin(), batch.end() - 1);
-  EXPECT_THROW(countViolationsBatch(torus, lcl, ragged),
+  EXPECT_THROW(verify_testing::batchCounts(torus, lcl, ragged),
                std::invalid_argument);
 }
 
@@ -416,8 +418,9 @@ TEST(VerifierD, ParallelCountsBitIdenticalAt128Threads) {
         problems_d::monotoneAxis(dims, 0, 3)};
     for (const GridLclD& lcl : lcls) {
       const auto labels = randomLabels(torus.size(), lcl.sigma(), seed++);
-      const std::int64_t serial = countViolations(torus, lcl, labels);
-      const bool feasible = verify(torus, lcl, labels);
+      const std::int64_t serial =
+          verify_testing::referenceCount(torus, lcl, labels);
+      const bool feasible = serial == 0;
       for (int threads : {1, 2, 8}) {
         engine::ThreadPool pool(threads);
         // Explicit grain pins chunk boundaries across thread counts.
@@ -441,15 +444,20 @@ TEST(VerifierD, ParallelBatchesBitIdenticalAt128Threads) {
     const auto labels = randomLabels(torus.size(), lcl.sigma(), 3000 + i);
     batch.insert(batch.end(), labels.begin(), labels.end());
   }
-  const auto serialCounts = countViolationsBatch(torus, lcl, batch);
-  const auto serialFeasible = verifyBatch(torus, lcl, batch);
+  const auto serialCounts = verify_testing::referenceCounts(torus, lcl, batch);
+  std::vector<std::uint8_t> serialFeasible;
+  for (std::int64_t count : serialCounts) {
+    serialFeasible.push_back(count == 0 ? 1 : 0);
+  }
   for (int threads : {1, 2, 8}) {
     engine::ThreadPool pool(threads);
     engine::EngineOptions options{
         .threads = threads, .grain = 1, .pool = &pool};
-    EXPECT_EQ(countViolationsBatch(torus, lcl, batch, options), serialCounts)
+    EXPECT_EQ(verify_testing::batchCounts(torus, lcl, batch, options),
+              serialCounts)
         << "threads=" << threads;
-    EXPECT_EQ(verifyBatch(torus, lcl, batch, options), serialFeasible)
+    EXPECT_EQ(verify_testing::batchVerdicts(torus, lcl, batch, options),
+              serialFeasible)
         << "threads=" << threads;
   }
   // Single-labelling batch takes the sharded-single path.
@@ -458,8 +466,8 @@ TEST(VerifierD, ParallelBatchesBitIdenticalAt128Threads) {
   for (int threads : {2, 8}) {
     engine::ThreadPool pool(threads);
     engine::EngineOptions options{.threads = threads, .pool = &pool};
-    EXPECT_EQ(countViolationsBatch(torus, lcl, one, options),
-              countViolationsBatch(torus, lcl, one));
+    EXPECT_EQ(verify_testing::batchCounts(torus, lcl, one, options),
+              std::vector<std::int64_t>{serialCounts[0]});
   }
 }
 

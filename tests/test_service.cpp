@@ -19,7 +19,7 @@
 #include "grid/torus2d.hpp"
 #include "lcl/problems.hpp"
 #include "lcl/stream_verify.hpp"
-#include "lcl/verifier.hpp"
+#include "lcl/verify_api.hpp"
 #include "service/client.hpp"
 #include "service/problem_registry.hpp"
 #include "service/service.hpp"
@@ -428,6 +428,35 @@ TEST(ServiceDaemon, JsonDebugMode) {
   EXPECT_TRUE(doc.at("ok").asBool());
   EXPECT_TRUE(doc.at("feasible").asBool());
   EXPECT_EQ(doc.at("violations").asInt(), 0);
+
+  // The steady-state idiom (docs/service.md): send back the fingerprint
+  // string the spec request returned; the integer form also still works.
+  const std::string fingerprint = doc.at("fingerprint").asString();
+  const std::string labelsTail = R"(,"count":true,"n":2,"labels":[0,0,1,1]})";
+  const auto byString = client.request(
+      R"({"op":"verify","id":6,"fingerprint":")" + fingerprint + "\"" +
+      labelsTail);
+  ASSERT_TRUE(byString.has_value());
+  const support::JsonValue byStringDoc = support::parseJson(*byString);
+  ASSERT_EQ(byStringDoc.find("error"), nullptr) << *byString;
+  EXPECT_EQ(byStringDoc.at("fingerprint").asString(), fingerprint);
+  EXPECT_EQ(byStringDoc.at("violations").asInt(), 4);
+  const auto fingerprintValue = static_cast<std::int64_t>(
+      std::stoull(fingerprint.substr(2), nullptr, 16));
+  const auto byInteger = client.request(
+      R"({"op":"verify","id":7,"fingerprint":)" +
+      std::to_string(fingerprintValue) + labelsTail);
+  ASSERT_TRUE(byInteger.has_value());
+  EXPECT_EQ(support::parseJson(*byInteger).at("violations").asInt(), 4)
+      << *byInteger;
+  // A malformed string is an error line; the connection stays usable.
+  for (const char* bad : {"0x", "0xnothex", "12", "0x00000000000000001"}) {
+    const auto malformed = client.request(
+        R"({"op":"verify","id":8,"fingerprint":")" + std::string(bad) +
+        "\"" + labelsTail);
+    ASSERT_TRUE(malformed.has_value()) << bad;
+    EXPECT_NE(support::parseJson(*malformed).find("error"), nullptr) << bad;
+  }
 
   const auto classified =
       client.request(R"({"op":"classify","id":3,"problem":"cvc:3"})");

@@ -24,9 +24,11 @@
 #include "lcl/label_planes.hpp"
 #include "lcl/problems.hpp"
 #include "lcl/stream_verify.hpp"
-#include "lcl/verifier.hpp"
+#include "lcl/verify_api.hpp"
+#include "verify_testing.hpp"
 
 using namespace lclgrid;
+using namespace lclgrid::verify_testing;
 
 namespace {
 
@@ -242,21 +244,21 @@ TEST(StreamVerify, MismatchedProblemThrows) {
   writeLabellingFile(file.str(), 3, 2, n, labels);
   StreamLabelling mapped(file.str());
   // sigma mismatch (2D): vertexColouring(4) has sigma 4, the file says 3.
-  EXPECT_THROW(streamCountViolations(mapped, problems::vertexColouring(4)),
+  EXPECT_THROW(streamCount(mapped, problems::vertexColouring(4)),
                std::invalid_argument);
   // dims mismatch (D): the file is 2-dimensional.
   EXPECT_THROW(
-      streamCountViolations(mapped, problems_d::vertexColouring(3, 3)),
+      streamCount(mapped, problems_d::vertexColouring(3, 3)),
       std::invalid_argument);
   // sigma mismatch (D).
   EXPECT_THROW(
-      streamCountViolations(mapped, problems_d::vertexColouring(2, 4)),
+      streamCount(mapped, problems_d::vertexColouring(2, 4)),
       std::invalid_argument);
   // 1-dimensional file through the 2D entry point.
   TempFile file1d("mismatch1d");
   writeLabellingFile(file1d.str(), 3, 1, n, std::vector<int>(n, 0));
   StreamLabelling mapped1d(file1d.str());
-  EXPECT_THROW(streamCountViolations(mapped1d, problems::vertexColouring(3)),
+  EXPECT_THROW(streamCount(mapped1d, problems::vertexColouring(3)),
                std::invalid_argument);
 }
 
@@ -269,16 +271,16 @@ TEST(StreamVerify, MatchesInCoreOverRegistry2D) {
     for (const GridLcl& lcl : problemRegistry()) {
       const std::vector<int> labels = randomLabels(
           torus.size(), lcl.sigma(), 41u + static_cast<std::uint32_t>(n));
-      const std::int64_t reference = countViolations(torus, lcl, labels);
+      const std::int64_t reference = referenceCount(torus, lcl, labels);
       const bool feasible = verify(torus, lcl, labels);
       TempFile file("registry2d");
       writeLabellingFile(file.str(), lcl.sigma(), 2, n, labels);
       StreamLabelling mapped(file.str());
       for (long long rows : {1LL, 2LL, 3LL, 0LL}) {
         const StreamWindow window{.rows = rows};
-        ASSERT_EQ(streamCountViolations(mapped, lcl, window), reference)
+        ASSERT_EQ(streamCount(mapped, lcl, window), reference)
             << lcl.name() << " n=" << n << " rows=" << rows;
-        ASSERT_EQ(streamVerify(mapped, lcl, window), feasible)
+        ASSERT_EQ(streamFeasible(mapped, lcl, window), feasible)
             << lcl.name() << " n=" << n << " rows=" << rows;
       }
     }
@@ -295,13 +297,13 @@ TEST(StreamVerify, MatchesInCoreWithBitsliceOnAndOff) {
   writeLabellingFile(file.str(), lcl.sigma(), 2, n, labels);
   StreamLabelling mapped(file.str());
   bitslice::setEnabled(false);
-  const std::int64_t viaTable = streamCountViolations(mapped, lcl);
+  const std::int64_t viaTable = streamCount(mapped, lcl);
   EXPECT_FALSE(stream_verify_detail::streamUsesBitslice(mapped, lcl));
-  const std::int64_t reference = countViolations(torus, lcl, labels);
+  const std::int64_t reference = referenceCount(torus, lcl, labels);
   bitslice::setEnabled(true);
   EXPECT_TRUE(stream_verify_detail::streamUsesBitslice(mapped, lcl));
   EXPECT_EQ(viaTable, reference);
-  EXPECT_EQ(streamCountViolations(mapped, lcl), reference);
+  EXPECT_EQ(streamCount(mapped, lcl), reference);
 }
 
 TEST(StreamVerify, ThreadedCountsAreBitIdentical2D) {
@@ -311,16 +313,16 @@ TEST(StreamVerify, ThreadedCountsAreBitIdentical2D) {
   for (const GridLcl& lcl : problemRegistry()) {
     const std::vector<int> labels =
         randomLabels(torus.size(), lcl.sigma(), 271u);
-    const std::int64_t reference = countViolations(torus, lcl, labels);
+    const std::int64_t reference = referenceCount(torus, lcl, labels);
     const bool feasible = verify(torus, lcl, labels);
     TempFile file("threads2d");
     writeLabellingFile(file.str(), lcl.sigma(), 2, n, labels);
     StreamLabelling mapped(file.str());
     for (int threads : {1, 2, 8}) {
       engine::EngineOptions options{.threads = threads};
-      ASSERT_EQ(streamCountViolations(mapped, lcl, options), reference)
+      ASSERT_EQ(streamCount(mapped, lcl, {}, options), reference)
           << lcl.name() << " threads=" << threads;
-      ASSERT_EQ(streamVerify(mapped, lcl, options), feasible)
+      ASSERT_EQ(streamFeasible(mapped, lcl, {}, options), feasible)
           << lcl.name() << " threads=" << threads;
     }
   }
@@ -339,23 +341,23 @@ TEST(StreamVerifyD, MatchesInCoreOnTorusD) {
         const std::vector<int> labels = randomLabels(
             torus.size(), lcl.sigma(),
             static_cast<std::uint32_t>(dims * 1000 + side));
-        const std::int64_t reference = countViolations(torus, lcl, labels);
+        const std::int64_t reference = referenceCount(torus, lcl, labels);
         const bool feasible = verify(torus, lcl, labels);
         TempFile file("registryd");
         writeLabellingFile(file.str(), lcl.sigma(), dims, side, labels);
         StreamLabelling mapped(file.str());
         for (long long rows : {1LL, 3LL, 0LL}) {
           const StreamWindow window{.rows = rows};
-          ASSERT_EQ(streamCountViolations(mapped, lcl, window), reference)
+          ASSERT_EQ(streamCount(mapped, lcl, window), reference)
               << lcl.name() << " dims=" << dims << " side=" << side
               << " rows=" << rows;
-          ASSERT_EQ(streamVerify(mapped, lcl, window), feasible)
+          ASSERT_EQ(streamFeasible(mapped, lcl, window), feasible)
               << lcl.name() << " dims=" << dims << " side=" << side
               << " rows=" << rows;
         }
         for (int threads : {2, 8}) {
           engine::EngineOptions options{.threads = threads};
-          ASSERT_EQ(streamCountViolations(mapped, lcl, options), reference)
+          ASSERT_EQ(streamCount(mapped, lcl, {}, options), reference)
               << lcl.name() << " dims=" << dims << " side=" << side
               << " threads=" << threads;
         }
@@ -379,20 +381,20 @@ TEST(StreamVerify, OutOfRangeLabelFallsBackToFunctionalTier) {
        {0, n / 2, torus.size() / 2, torus.size() - 1}) {
     std::vector<int> poisoned = labels;
     poisoned[static_cast<std::size_t>(victim)] = lcl.sigma();
-    const std::int64_t reference = countViolations(torus, lcl, poisoned);
+    const std::int64_t reference = referenceCount(torus, lcl, poisoned);
     const bool feasible = verify(torus, lcl, poisoned);
     TempFile file("fallback");
     writeLabellingFile(file.str(), lcl.sigma(), 2, n, poisoned);
     StreamLabelling mapped(file.str());
     for (long long rows : {1LL, 4LL, 0LL}) {
       const StreamWindow window{.rows = rows};
-      ASSERT_EQ(streamCountViolations(mapped, lcl, window), reference)
+      ASSERT_EQ(streamCount(mapped, lcl, window), reference)
           << "victim=" << victim << " rows=" << rows;
-      ASSERT_EQ(streamVerify(mapped, lcl, window), feasible)
+      ASSERT_EQ(streamFeasible(mapped, lcl, window), feasible)
           << "victim=" << victim << " rows=" << rows;
     }
     engine::EngineOptions options{.threads = 4};
-    ASSERT_EQ(streamCountViolations(mapped, lcl, options), reference)
+    ASSERT_EQ(streamCount(mapped, lcl, {}, options), reference)
         << "victim=" << victim << " threaded";
   }
 }
@@ -407,8 +409,8 @@ TEST(StreamVerify, DropBehindOffMatchesDropBehindOn) {
   StreamLabelling mapped(file.str());
   const StreamWindow keep{.rows = 2, .dropBehind = false};
   const StreamWindow drop{.rows = 2, .dropBehind = true};
-  EXPECT_EQ(streamCountViolations(mapped, lcl, keep),
-            streamCountViolations(mapped, lcl, drop));
+  EXPECT_EQ(streamCount(mapped, lcl, keep),
+            streamCount(mapped, lcl, drop));
 }
 
 TEST(StreamVerifyDetail, WindowGeometry) {

@@ -1,9 +1,9 @@
-// The unified verify(VerifyRequest) front door (lcl/verify_api.hpp): bit-
-// identity with every legacy overload it subsumes (serial and threaded,
-// single and batch, 2D and d-dimensional, in-core and streaming), tier
-// pinning incl. its error paths, the fingerprint-resolver idiom, the
-// malformed-request diagnostics, and the classify() front door with its
-// cross-call ReportCache.
+// The verify(VerifyRequest) front door (lcl/verify_api.hpp): bit-identity
+// of every tier pin, thread count and request shape (single labelling,
+// batch, file) with the serial functional reference, the single-labelling
+// conveniences, tier pinning incl. its error paths, the fingerprint-
+// resolver idiom, the malformed-request diagnostics, and the classify()
+// front door with its cross-call ReportCache.
 #include <unistd.h>
 
 #include <cstdio>
@@ -15,15 +15,17 @@
 #include <gtest/gtest.h>
 
 #include "engine/family_sweep.hpp"
+#include "engine/thread_pool.hpp"
 #include "grid/torus2d.hpp"
 #include "grid/torusd.hpp"
 #include "lcl/problems.hpp"
 #include "lcl/stream_verify.hpp"
-#include "lcl/verifier.hpp"
 #include "lcl/verify_api.hpp"
 #include "support/lru_cache.hpp"
+#include "verify_testing.hpp"
 
 using namespace lclgrid;
+using namespace lclgrid::verify_testing;
 
 namespace {
 
@@ -58,41 +60,81 @@ std::string tempPath(const char* stem) {
   return path;
 }
 
+constexpr TierPin kPins[] = {TierPin::kAuto, TierPin::kFunctional,
+                             TierPin::kTable, TierPin::kBitsliced};
+
+/// Whether a pinned tier can run the labelling (an unrunnable pin throws).
+template <typename Lcl>
+bool pinRunnable(const Lcl& lcl, TierPin pin, bool outOfRange) {
+  switch (pin) {
+    case TierPin::kTable:
+      return lcl.hasTable() && !outOfRange;
+    case TierPin::kBitsliced: {
+      if (!lcl.hasTable() || outOfRange) return false;
+      if constexpr (std::is_same_v<Lcl, GridLclD>) {
+        const LclTable* table2d = lcl.table().as2d();
+        return table2d != nullptr ? table2d->bitslicePlan() != nullptr
+                                  : lcl.table().bitslicePlanD() != nullptr;
+      } else {
+        return lcl.table().bitslicePlan() != nullptr;
+      }
+    }
+    default:
+      return true;
+  }
+}
+
+/// Checks one labelling on every tier pin at 1/2/8 threads, in both modes,
+/// against the reference; the single-labelling conveniences ride along.
+template <typename Torus, typename Lcl>
+void expectEveryPinAndThreadCount(const Torus& torus, const Lcl& problem,
+                                  const std::vector<int>& labels,
+                                  bool outOfRange) {
+  const std::int64_t expect = referenceCount(torus, problem, labels);
+  for (int threads : {1, 2, 8}) {
+    engine::ThreadPool pool(threads);
+    const engine::EngineOptions engine{.threads = threads, .pool = &pool};
+    for (TierPin pin : kPins) {
+      VerifyRequest request =
+          inCoreRequest(torus, problem, labels, true, engine, pin);
+      if (!pinRunnable(problem, pin, outOfRange)) {
+        EXPECT_THROW(verify(request), std::invalid_argument)
+            << problem.name() << " pin=" << static_cast<int>(pin);
+        continue;
+      }
+      const VerifyResult counted = verify(request);
+      EXPECT_EQ(counted.violations, expect)
+          << problem.name() << " pin=" << static_cast<int>(pin)
+          << " threads=" << threads;
+      EXPECT_EQ(counted.feasible, expect == 0);
+      EXPECT_EQ(counted.labellings, 1);
+      EXPECT_EQ(counted.fingerprint, problem.table().fingerprint());
+      EXPECT_GE(counted.nanos, 0);
+      request.options.countViolations = false;
+      EXPECT_EQ(verify(request).feasible, expect == 0)
+          << problem.name() << " pin=" << static_cast<int>(pin)
+          << " threads=" << threads;
+    }
+    EXPECT_EQ(verify(torus, problem, labels, engine), expect == 0);
+    EXPECT_EQ(countViolations(torus, problem, labels, engine), expect);
+  }
+}
+
 }  // namespace
 
 TEST(VerifyApi, MatchesSerialAndThreadedOverloadsAcrossRegistry) {
-  const Torus2D torus(8);
-  int seed = 1;
-  for (const GridLcl& problem : problemRegistry()) {
-    const std::vector<int> labels = randomLabels(
-        problem.sigma(), static_cast<std::size_t>(torus.size()), seed++);
-    const bool expectFeasible = verify(torus, problem, labels);
-    const std::int64_t expectCount = countViolations(torus, problem, labels);
-    for (int threads : {1, 2, 8}) {
-      VerifyRequest request;
-      request.problem = &problem;
-      request.torus = &torus;
-      request.labels = labels;
-      request.options.engine.threads = threads;
-
-      VerifyResult decided = verify(request);
-      EXPECT_EQ(decided.feasible, expectFeasible)
-          << problem.name() << " threads=" << threads;
-      EXPECT_EQ(decided.labellings, 1);
-      EXPECT_EQ(decided.fingerprint, problem.table().fingerprint());
-      EXPECT_GE(decided.nanos, 0);
-
-      request.options.countViolations = true;
-      VerifyResult counted = verify(request);
-      EXPECT_EQ(counted.violations, expectCount)
-          << problem.name() << " threads=" << threads;
-      EXPECT_EQ(counted.feasible, expectCount == 0);
-
-      // The legacy threaded overloads forward through the same entry.
-      engine::EngineOptions options;
-      options.threads = threads;
-      EXPECT_EQ(verify(torus, problem, labels, options), expectFeasible);
-      EXPECT_EQ(countViolations(torus, problem, labels, options), expectCount);
+  // 8^2 stays below the bit-slice node floor, 17^2 clears it (odd side:
+  // every word-tail and wrap case).
+  std::uint32_t seed = 1;
+  for (int n : {8, 17}) {
+    const Torus2D torus(n);
+    for (const GridLcl& problem : problemRegistry()) {
+      for (bool outOfRange : {false, true}) {
+        std::vector<int> labels = randomLabels(
+            problem.sigma(), static_cast<std::size_t>(torus.size()), seed++);
+        if (outOfRange) labels[labels.size() / 3] = problem.sigma();
+        expectEveryPinAndThreadCount(torus, problem, labels, outOfRange);
+      }
     }
   }
 }
@@ -102,18 +144,12 @@ TEST(VerifyApi, TierPinsAgreeAndReportTheirTier) {
   const GridLcl problem = problems::vertexColouring(4);
   const std::vector<int> labels =
       randomLabels(4, static_cast<std::size_t>(torus.size()), 7);
-  const std::int64_t expect = countViolations(torus, problem, labels);
-  for (int threads : {1, 4}) {
-    for (TierPin pin : {TierPin::kAuto, TierPin::kFunctional, TierPin::kTable,
-                        TierPin::kBitsliced}) {
-      VerifyRequest request;
-      request.problem = &problem;
-      request.torus = &torus;
-      request.labels = labels;
-      request.options.countViolations = true;
-      request.options.engine.threads = threads;
-      request.options.tier = pin;
-      const VerifyResult result = verify(request);
+  const std::int64_t expect = referenceCount(torus, problem, labels);
+  for (int threads : {1, 2, 8}) {
+    for (TierPin pin : kPins) {
+      const VerifyResult result = verify(
+          inCoreRequest(torus, problem, labels, true, {.threads = threads},
+                        pin));
       EXPECT_EQ(result.violations, expect)
           << "pin=" << static_cast<int>(pin) << " threads=" << threads;
       switch (pin) {
@@ -138,10 +174,7 @@ TEST(VerifyApi, PinnedTableRejectsOutOfRangeLabels) {
   const GridLcl problem = problems::maximalIndependentSet();
   std::vector<int> labels(static_cast<std::size_t>(torus.size()), 0);
   labels[3] = 99;  // out of range: only the functional tier may run
-  VerifyRequest request;
-  request.problem = &problem;
-  request.torus = &torus;
-  request.labels = labels;
+  VerifyRequest request = inCoreRequest(torus, problem, labels, false);
   request.options.tier = TierPin::kTable;
   EXPECT_THROW(verify(request), std::invalid_argument);
   request.options.tier = TierPin::kBitsliced;
@@ -152,76 +185,93 @@ TEST(VerifyApi, PinnedTableRejectsOutOfRangeLabels) {
 }
 
 TEST(VerifyApi, BatchMatchesBatchOverloads) {
-  const Torus2D torus(6);
+  // A batch request against the per-labelling references, on every pin
+  // that can run every labelling and at 1/2/8 threads; one labelling
+  // carries an out-of-alphabet label and falls back on its own.
+  const Torus2D torus(17);
   const GridLcl problem = problems::edgeColouring(4);
   const std::size_t nodes = static_cast<std::size_t>(torus.size());
   std::vector<int> batch;
   for (int i = 0; i < 4; ++i) {
-    const std::vector<int> labels = randomLabels(problem.sigma(), nodes,
-                                                 100 + static_cast<std::uint32_t>(i));
+    std::vector<int> labels = randomLabels(
+        problem.sigma(), nodes, 100 + static_cast<std::uint32_t>(i));
+    if (i == 2) labels[5] = -1;
     batch.insert(batch.end(), labels.begin(), labels.end());
   }
-  const std::vector<std::uint8_t> expectVerdicts =
-      verifyBatch(torus, problem, batch);
   const std::vector<std::int64_t> expectCounts =
-      countViolationsBatch(torus, problem, batch);
+      referenceCounts(torus, problem, batch);
+  std::vector<std::uint8_t> expectVerdicts;
+  std::int64_t total = 0;
+  for (std::int64_t count : expectCounts) {
+    expectVerdicts.push_back(count == 0 ? 1 : 0);
+    total += count;
+  }
   for (int threads : {1, 2, 8}) {
-    VerifyRequest request;
-    request.problem = &problem;
-    request.torus = &torus;
-    request.labels = batch;
-    request.options.engine.threads = threads;
-    VerifyResult decided = verify(request);
-    EXPECT_EQ(decided.labellings, 4);
-    EXPECT_EQ(decided.feasiblePerLabelling, expectVerdicts);
-    bool allFeasible = true;
-    for (std::uint8_t verdict : expectVerdicts) allFeasible &= verdict != 0;
-    EXPECT_EQ(decided.feasible, allFeasible);
+    for (TierPin pin : {TierPin::kAuto, TierPin::kFunctional}) {
+      VerifyRequest request = inCoreRequest(
+          torus, problem, batch, false, {.threads = threads}, pin);
+      const VerifyResult decided = verify(request);
+      EXPECT_EQ(decided.labellings, 4);
+      EXPECT_EQ(decided.feasiblePerLabelling, expectVerdicts)
+          << "threads=" << threads;
+      EXPECT_EQ(decided.feasible, total == 0);
 
-    request.options.countViolations = true;
-    VerifyResult counted = verify(request);
-    EXPECT_EQ(counted.violationsPerLabelling, expectCounts);
-    std::int64_t total = 0;
-    for (std::int64_t count : expectCounts) total += count;
-    EXPECT_EQ(counted.violations, total);
+      request.options.countViolations = true;
+      const VerifyResult counted = verify(request);
+      EXPECT_EQ(counted.violationsPerLabelling, expectCounts)
+          << "threads=" << threads;
+      EXPECT_EQ(counted.violations, total);
+    }
+    // A table pin cannot run the out-of-range labelling.
+    EXPECT_THROW(verify(inCoreRequest(torus, problem, batch, true,
+                                      {.threads = threads}, TierPin::kTable)),
+                 std::invalid_argument);
   }
 }
 
 TEST(VerifyApi, TorusDMatchesOverloads) {
-  const TorusD torus(3, 4);
-  const GridLclD problem = problems_d::xorParity(3);
-  const std::vector<int> labels = randomLabels(
-      problem.sigma(), static_cast<std::size_t>(torus.size()), 42);
-  const std::int64_t expect = countViolations(torus, problem, labels);
-  for (int threads : {1, 4}) {
-    VerifyRequest request;
-    request.problemD = &problem;
-    request.torusD = &torus;
-    request.labels = labels;
-    request.options.countViolations = true;
-    request.options.engine.threads = threads;
-    const VerifyResult result = verify(request);
-    EXPECT_EQ(result.violations, expect) << "threads=" << threads;
+  // 4^3 stays below the bit-slice node floor; 7^3 clears it, so the
+  // staged line kernel (and its progressive serial staging) runs.
+  std::uint32_t seed = 42;
+  for (int side : {4, 7}) {
+    const TorusD torus(3, side);
+    for (const GridLclD& problem :
+         {problems_d::xorParity(3), problems_d::vertexColouring(3, 4),
+          problems_d::monotoneAxis(3, 0, 3)}) {
+      for (bool outOfRange : {false, true}) {
+        std::vector<int> labels = randomLabels(
+            problem.sigma(), static_cast<std::size_t>(torus.size()), seed++);
+        if (outOfRange) labels[labels.size() / 2] = problem.sigma();
+        expectEveryPinAndThreadCount(torus, problem, labels, outOfRange);
+      }
+    }
   }
 }
 
 TEST(VerifyApi, StreamRequestsMatchStreamOverloads) {
-  const Torus2D torus(12);
+  const Torus2D torus(17);
   const GridLcl problem = problems::vertexColouring(3);
   const std::vector<int> labels = randomLabels(
       problem.sigma(), static_cast<std::size_t>(torus.size()), 9);
+  const std::int64_t expect = referenceCount(torus, problem, labels);
   const std::string path = tempPath("verify_api_stream");
   writeLabellingFile(path, problem.sigma(), 2, torus.n(), labels);
   const StreamLabelling file(path);
-  const std::int64_t expect = streamCountViolations(file, problem);
 
-  VerifyRequest request;
-  request.problem = &problem;
-  request.file = &file;
-  request.options.countViolations = true;
-  VerifyResult viaFile = verify(request);
-  EXPECT_EQ(viaFile.violations, expect);
-  EXPECT_EQ(viaFile.tier, VerifyTier::kStream);
+  for (int threads : {1, 2, 8}) {
+    for (long long rows : {1LL, 4LL, 0LL}) {
+      StreamWindow window;
+      window.rows = rows;
+      VerifyRequest request =
+          fileRequest(file, problem, true, window, {.threads = threads});
+      const VerifyResult viaFile = verify(request);
+      EXPECT_EQ(viaFile.violations, expect)
+          << "threads=" << threads << " rows=" << rows;
+      EXPECT_EQ(viaFile.tier, VerifyTier::kStream);
+      request.options.countViolations = false;
+      EXPECT_EQ(verify(request).feasible, expect == 0);
+    }
+  }
 
   VerifyRequest viaPathRequest;
   viaPathRequest.problem = &problem;
@@ -231,8 +281,9 @@ TEST(VerifyApi, StreamRequestsMatchStreamOverloads) {
   EXPECT_EQ(verify(viaPathRequest).violations, expect);
 
   // Streaming accepts only the automatic tier.
-  request.options.tier = TierPin::kTable;
-  EXPECT_THROW(verify(request), std::invalid_argument);
+  VerifyRequest pinned = fileRequest(file, problem, true);
+  pinned.options.tier = TierPin::kTable;
+  EXPECT_THROW(verify(pinned), std::invalid_argument);
   std::remove(path.c_str());
 }
 
@@ -249,7 +300,7 @@ TEST(VerifyApi, FingerprintResolver) {
   request.torus = &torus;
   request.labels = labels;
   request.options.countViolations = true;
-  EXPECT_EQ(verify(request).violations, countViolations(torus, problem, labels));
+  EXPECT_EQ(verify(request).violations, referenceCount(torus, problem, labels));
 
   request.fingerprint ^= 1;  // unknown
   EXPECT_THROW(verify(request), std::invalid_argument);
@@ -275,7 +326,8 @@ TEST(VerifyApi, MalformedRequestsThrow) {
   noInstance.problem = &problem;
   EXPECT_THROW(verify(noInstance), std::invalid_argument);
 
-  // The legacy single-labelling overload's size contract is preserved.
+  // The single-labelling conveniences reject any other span shape, even a
+  // whole multiple of the torus size that a request would take as a batch.
   std::vector<int> wrongSize(static_cast<std::size_t>(torus.size()) + 1, 0);
   try {
     (void)verify(torus, problem, wrongSize, engine::EngineOptions{.threads = 2});
@@ -283,6 +335,9 @@ TEST(VerifyApi, MalformedRequestsThrow) {
   } catch (const std::invalid_argument& error) {
     EXPECT_STREQ(error.what(), "verifier: labelling size mismatch");
   }
+  std::vector<int> twoLabellings(2 * static_cast<std::size_t>(torus.size()), 0);
+  EXPECT_THROW((void)countViolations(torus, problem, twoLabellings),
+               std::invalid_argument);
 }
 
 TEST(ClassifyApi, GridMatchesOracleAndCaches) {
