@@ -3,8 +3,9 @@
 // rows on Torus2D, axis-0 lines on TorusD (a chunk of the line space is a
 // slab along the outermost axes) -- each shard runs the exact serial kernel
 // slice (lcl/verifier.hpp verifier_detail), and per-shard violation counts
-// are combined in chunk order, so every result is bit-identical to the
-// serial pass; the determinism tests pin this down for 1/2/8 threads.
+// (or the slices' out-of-range sentinel) are combined in chunk order, so
+// every result is bit-identical to the serial pass; the determinism tests
+// pin this down for 1/2/8 threads.
 //
 // runSlices is the one place that decides between running a slice inline
 // (no pool: the serial path) and chunking it across a pool; the in-core
@@ -142,32 +143,48 @@ std::int64_t nodeGrain(std::int64_t itemGrain, const Torus& torus) {
 
 /// Violations of slice(begin, end, stopAtFirst) over items [begin, end).
 /// No pool: one inline call, the serial path. With a pool: chunks of
-/// `grain` items run across it; counts are summed in chunk order, and with
-/// stopAtFirst the chunks cooperatively early-exit after the first
-/// violation and the result is 0 or 1 -- scheduling-independent either way.
+/// `grain` items run across it. A slice may return kOutOfRange instead of
+/// a count. With stopAtFirst the chunks cooperatively early-exit after the
+/// first violation or out-of-range label and the result is 0 or 1 (an
+/// out-of-range label is a violated node). Otherwise counts are summed in
+/// chunk order and any kOutOfRange chunk makes the result kOutOfRange
+/// (later chunks skip their work) -- scheduling-independent either way.
 template <typename Slice>
 std::int64_t runSlices(ThreadPool* pool, std::int64_t begin, std::int64_t end,
                        std::int64_t grain, bool stopAtFirst,
                        const Slice& slice) {
-  if (pool == nullptr) return slice(begin, end, stopAtFirst);
+  using verifier_detail::kOutOfRange;
+  if (pool == nullptr) {
+    const std::int64_t violations = slice(begin, end, stopAtFirst);
+    return stopAtFirst && violations != 0 ? 1 : violations;
+  }
+  std::atomic<bool> stop{false};
   if (!stopAtFirst) {
     return pool->parallelReduce(
         begin, end, grain, std::int64_t{0},
-        [&](std::int64_t s, std::int64_t t) { return slice(s, t, false); },
-        [](std::int64_t a, std::int64_t b) { return a + b; });
+        [&](std::int64_t s, std::int64_t t) {
+          if (stop.load(std::memory_order_relaxed)) return kOutOfRange;
+          const std::int64_t violations = slice(s, t, false);
+          if (violations == kOutOfRange) {
+            stop.store(true, std::memory_order_relaxed);
+          }
+          return violations;
+        },
+        [](std::int64_t a, std::int64_t b) {
+          return a == kOutOfRange || b == kOutOfRange ? kOutOfRange : a + b;
+        });
   }
-  std::atomic<bool> violated{false};
   pool->parallelFor(begin, end, grain, [&](std::int64_t s, std::int64_t t) {
-    if (violated.load(std::memory_order_relaxed)) return;
-    if (slice(s, t, true) > 0) violated.store(true, std::memory_order_relaxed);
+    if (stop.load(std::memory_order_relaxed)) return;
+    if (slice(s, t, true) != 0) stop.store(true, std::memory_order_relaxed);
   });
-  return violated.load() ? 1 : 0;
+  return stop.load() ? 1 : 0;
 }
 
-/// The table path's precondition: every label in [0, sigma). Sharded with
-/// a pool -- a serial O(N) scan in front of the parallel kernel would be a
-/// material Amdahl fraction -- with chunks after the first out-of-range
-/// find returning immediately.
+/// A tier pin's precondition: every label in [0, sigma). Sharded with a
+/// pool, with chunks after the first out-of-range find returning
+/// immediately. Automatic selection runs no such scan: the kernel slices
+/// check the rows they read.
 template <typename Torus>
 bool allInRange(ThreadPool* pool, std::int64_t grain, const Torus& torus,
                 int sigma, std::span<const int> labels) {
@@ -185,8 +202,8 @@ bool allInRange(ThreadPool* pool, std::int64_t grain, const Torus& torus,
 }
 
 // --- streaming (out-of-core) passes ----------------------------------------
-// The slab walk itself (window geometry, validation frontier, drop-behind,
-// functional restart, checkpoints) is stream_verify_detail::runStreamPass;
+// The slab walk itself (window geometry, drop-behind, functional restart,
+// checkpoints) is stream_verify_detail::runStreamPass;
 // this builder supplies its per-slab callbacks, which run the in-core
 // slices through runSlices -- inline without a pool, chunk-ordered across
 // one with it -- so counts are bit-identical to the in-core engine at every
@@ -233,13 +250,6 @@ std::int64_t shardedStream(ThreadPool* pool, std::int64_t grain,
     // staging (2D and d = 2), so the slices read the raw mapped labels.
     const bool sliced = stream_verify_detail::streamUsesBitslice(file, lcl);
     static const LabelPlanes kNoPlanes;
-    pass.rowsInRange = [pool, grain, &torus, &lcl, all, n](long long begin,
-                                                           long long end) {
-      return allInRange(pool, grain, torus, lcl.sigma(),
-                        all.subspan(static_cast<std::size_t>(begin * n),
-                                    static_cast<std::size_t>((end - begin) *
-                                                             n)));
-    };
     pass.kernelRows = [pool, grain, &torus, &lcl, labels, sliced](
                           long long begin, long long end, bool stop) {
       return runSlices(pool, begin, end, grain, stop,

@@ -1,10 +1,12 @@
 // The unified verification front door (lcl/verify_api.hpp) and the only
-// verification implementation in the library: one range scan (sharded when
-// a pool is attached), tier selection in selectKernel, then a direct
-// dispatch onto the verifier_detail kernel slices through the sharding
-// scheme of engine/shard_detail.hpp -- inline for a serial request, chunked
-// across the pool otherwise. The single-labelling conveniences at the end
-// only build requests.
+// verification implementation in the library: tier selection in
+// selectKernel, then a direct dispatch onto the verifier_detail kernel
+// slices through the sharding scheme of engine/shard_detail.hpp -- inline
+// for a serial request, chunked across the pool otherwise. The slices check
+// the labels they read, so there is no separate range scan (except for a
+// tier pin's precondition); a slice's out-of-range sentinel settles in
+// verifyLabelling. The single-labelling conveniences at the end only build
+// requests.
 #include "lcl/verify_api.hpp"
 
 #include <algorithm>
@@ -50,9 +52,11 @@ bool hasBitslicePlan(const GridLclD& lcl) {
   return lcl.table().bitslicePlanD() != nullptr;
 }
 
-/// One range scan deciding (or validating, for a pin) the kernel tier --
-/// the only place the engine selects one. `pool` is null for serial
-/// execution; the scan shards when a pool is attached.
+/// The kernel tier of one labelling -- the only place the engine selects
+/// one. Automatic selection reads no labels (the kernel slices check the
+/// rows they read); a pinned table or bit-sliced tier validates its
+/// precondition with a range scan, sharded when `pool` is attached (null
+/// for serial execution).
 template <typename Torus, typename Lcl>
 VerifyTier selectKernel(engine::ThreadPool* pool, std::int64_t grain,
                         const Torus& torus, const Lcl& lcl,
@@ -62,7 +66,7 @@ VerifyTier selectKernel(engine::ThreadPool* pool, std::int64_t grain,
   };
   switch (pin) {
     case TierPin::kAuto:
-      if (!lcl.hasTable() || !labelsInRange()) return VerifyTier::kFunctional;
+      if (!lcl.hasTable()) return VerifyTier::kFunctional;
       return verifier_detail::bitsliceSelected(
                  lcl, static_cast<long long>(labels.size()))
                  ? VerifyTier::kBitsliced
@@ -95,13 +99,14 @@ VerifyTier selectKernel(engine::ThreadPool* pool, std::int64_t grain,
 
 /// The bit-sliced pass over one labelling. The staged d >= 3 kernel first
 /// transposes the labelling into plane buffers (sharded: disjoint line
-/// ranges, so the writes are race-free). A serial early-exit pass stages
-/// progressively instead, one outermost-axis block (lines / n lines) ahead
-/// of the scan, so a violation in the first block costs O(block)
-/// transposition, not O(N): every outer-axis neighbour of a line lies
-/// within +-1 block, so the scan of block i only needs blocks i-1, i, i+1
-/// (cyclically) -- the wrap block is staged up front, the rest one block
-/// ahead. (A sharded staggered stage would serialise on block order.)
+/// ranges, so the writes are race-free), checking each line as it stages
+/// it. A serial early-exit pass stages progressively instead, one
+/// outermost-axis block (lines / n lines) ahead of the scan, so a
+/// violation in the first block costs O(block) transposition, not O(N):
+/// every outer-axis neighbour of a line lies within +-1 block, so the scan
+/// of block i only needs blocks i-1, i, i+1 (cyclically) -- the wrap block
+/// is staged up front, the rest one block ahead. (A sharded staggered stage
+/// would serialise on block order.)
 template <typename Torus, typename Lcl>
 std::int64_t bitslicePass(engine::ThreadPool* pool, std::int64_t grain,
                           const Torus& torus, const Lcl& lcl,
@@ -114,39 +119,42 @@ std::int64_t bitslicePass(engine::ThreadPool* pool, std::int64_t grain,
   const std::int64_t lines = sd::shardItems(torus);
   if constexpr (std::is_same_v<Torus, TorusD>) {
     const auto stage = [&](std::int64_t begin, std::int64_t end) {
-      verifier_detail::bitsliceStageLinesD(torus, labels, planes, begin, end);
+      return verifier_detail::bitsliceStageLinesD(lcl.sigma(), labels, planes,
+                                                  begin, end);
     };
     if (planes.rows() > 0 && pool == nullptr && stopAtFirst) {
       const std::int64_t blockLines =
           std::max<std::int64_t>(1, lines / torus.n());
-      stage(lines - blockLines, lines);  // wrap block
+      if (!stage(lines - blockLines, lines)) return 1;  // wrap block
       std::int64_t stagedEnd = 0;
       for (std::int64_t begin = 0; begin < lines; begin += blockLines) {
         const std::int64_t end = std::min(begin + blockLines, lines);
         const std::int64_t need =
             std::min(end + blockLines, lines - blockLines);
         if (need > stagedEnd) {
-          stage(stagedEnd, need);
+          if (!stage(stagedEnd, need)) return 1;
           stagedEnd = need;
         }
-        if (slice(begin, end, /*stop=*/true) > 0) return 1;
+        if (slice(begin, end, /*stop=*/true) != 0) return 1;
       }
       return 0;
     }
     if (planes.rows() > 0) {
-      if (pool != nullptr) {
-        pool->parallelFor(0, lines, grain, stage);
-      } else {
-        stage(0, lines);
-      }
+      const std::int64_t staged = sd::runSlices(
+          pool, 0, lines, grain, stopAtFirst,
+          [&](std::int64_t begin, std::int64_t end, bool) {
+            return stage(begin, end) ? std::int64_t{0}
+                                     : verifier_detail::kOutOfRange;
+          });
+      if (staged != 0) return staged;
     }
   }
   return sd::runSlices(pool, 0, lines, grain, stopAtFirst, slice);
 }
 
-/// Violations of one labelling on the resolved kernel: the exact count, or
-/// (stopAtFirst) 0 / 1 with an early exit at the first violation --
-/// cooperatively across shards when pooled.
+/// Violations of one labelling on the resolved kernel: the exact count or
+/// kOutOfRange, or (stopAtFirst) 0 / 1 with an early exit at the first
+/// violation -- cooperatively across shards when pooled.
 template <typename Torus, typename Lcl>
 std::int64_t runKernel(engine::ThreadPool* pool, std::int64_t grain,
                        const Torus& torus, const Lcl& lcl,
@@ -175,6 +183,23 @@ std::int64_t runKernel(engine::ThreadPool* pool, std::int64_t grain,
   }
 }
 
+/// One labelling on its selected kernel, settling an out-of-range label: in
+/// verify mode runSlices already counts it as a violated node; in count
+/// mode the labelling is recounted on the functional tier, which becomes
+/// the reported `tier`.
+template <typename Torus, typename Lcl>
+std::int64_t verifyLabelling(engine::ThreadPool* pool, std::int64_t grain,
+                             const Torus& torus, const Lcl& lcl,
+                             std::span<const int> labels, VerifyTier& tier,
+                             bool stopAtFirst) {
+  const std::int64_t violations =
+      runKernel(pool, grain, torus, lcl, labels, tier, stopAtFirst);
+  if (violations != verifier_detail::kOutOfRange) return violations;
+  verify_probes::recordRangeFallback();
+  tier = VerifyTier::kFunctional;
+  return runKernel(pool, grain, torus, lcl, labels, tier, stopAtFirst);
+}
+
 /// Dispatch of an in-core request (single labelling or batch) for one
 /// torus family; fills everything except nanos.
 template <typename Torus, typename Lcl>
@@ -197,25 +222,25 @@ VerifyResult dispatchInCore(const Torus& torus, const Lcl& lcl,
   if (count == 1) {
     sd::checkLabelling(torus, lcl, labels);
     result.tier = selectKernel(pool, grain, torus, lcl, labels, options.tier);
-    result.violations =
-        runKernel(pool, grain, torus, lcl, labels, result.tier, stopAtFirst);
+    result.violations = verifyLabelling(pool, grain, torus, lcl, labels,
+                                        result.tier, stopAtFirst);
     result.feasible = result.violations == 0;
     return result;
   }
 
   // Batch: one labelling per work item (grain counts labellings), each
-  // selecting its own kernel and running serially. The reported tier is
-  // the first labelling's selection.
+  // selecting its own kernel (and falling back on its own) and running
+  // serially. The reported tier is the first labelling's.
   const std::size_t stride = static_cast<std::size_t>(torus.size());
   sd::checkLabelling(torus, lcl, labels.subspan(0, stride));
   std::vector<std::int64_t> violations(count, 0);
   const auto oneLabelling = [&](std::size_t i) {
     const std::span<const int> sub = labels.subspan(i * stride, stride);
-    const VerifyTier kernel =
+    VerifyTier kernel =
         selectKernel(nullptr, grain, torus, lcl, sub, options.tier);
-    if (i == 0) result.tier = kernel;
     violations[i] =
-        runKernel(nullptr, grain, torus, lcl, sub, kernel, stopAtFirst);
+        verifyLabelling(nullptr, grain, torus, lcl, sub, kernel, stopAtFirst);
+    if (i == 0) result.tier = kernel;
   };
   if (pool != nullptr) {
     pool->parallelFor(0, static_cast<std::int64_t>(count), grain,

@@ -51,14 +51,18 @@ int readSimdEnv() {
 /// per row so the accumulators stay in registers): 32 labels per step,
 /// narrowed with the 256-bit packs -- which interleave their 128-bit
 /// lanes, so one dword permute restores label order -- then each plane
-/// harvested with a byte movemask. Handles k in [0, n & ~63); the caller
-/// finishes the last partial word.
+/// harvested with a byte movemask. The range check rides on the first
+/// pack stage (see transposeRow). Handles k in [0, n & ~63); the caller
+/// finishes the last partial word. Returns true iff every label it read
+/// lies in [0, top].
 #if !defined(__AVX2__)
 __attribute__((target("avx2")))
 #endif
-void transposeRowAvx2(const int* labels, int n, int planes,
+bool transposeRowAvx2(const int* labels, int n, int planes, unsigned top,
                       std::uint64_t* out, std::size_t W) {
   const __m256i order = _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7);
+  const __m256i top16 = _mm256_set1_epi16(static_cast<short>(top));
+  __m256i outside = _mm256_setzero_si256();
   for (std::size_t w = 0; (w + 1) * 64 <= static_cast<std::size_t>(n); ++w) {
     std::uint64_t packed[8] = {};
     for (int k = 0; k < 64; k += 32) {
@@ -69,6 +73,10 @@ void transposeRowAvx2(const int* labels, int n, int planes,
       const __m256i cd = _mm256_packs_epi32(
           _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + 16)),
           _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + 24)));
+      outside = _mm256_or_si256(
+          outside,
+          _mm256_or_si256(_mm256_or_si256(ab, _mm256_sub_epi16(top16, ab)),
+                          _mm256_or_si256(cd, _mm256_sub_epi16(top16, cd))));
       const __m256i bytes =
           _mm256_permutevar8x32_epi32(_mm256_packus_epi16(ab, cd), order);
       for (int b = 0; b < planes; ++b) {
@@ -81,6 +89,7 @@ void transposeRowAvx2(const int* labels, int n, int planes,
       out[static_cast<std::size_t>(b) * W + w] = packed[b];
     }
   }
+  return _mm256_testz_si256(outside, _mm256_set1_epi16(INT16_MIN)) != 0;
 }
 
 bool avx2Supported() {
@@ -168,15 +177,28 @@ int planeCount(int sigma) {
       1, static_cast<int>(std::bit_width(static_cast<unsigned>(sigma - 1))));
 }
 
-void transposeRow(const int* labels, int n, int planes, std::uint64_t* out) {
+bool transposeRow(const int* labels, int n, int planes, int sigma,
+                  std::uint64_t* out) {
+  // The range check: label | (top - label) has its sign bit set exactly
+  // when the label lies outside [0, top] (unsigned arithmetic on the
+  // scalar path), and the OR over the row keeps that bit. The vector paths
+  // test the first pack stage's int16 lanes: it saturates, so a lane is in
+  // [0, top] iff its label is (top < 256 <= INT16_MAX) -- a few ops on
+  // words the transpose computes anyway.
+  const unsigned top = static_cast<unsigned>(sigma) - 1u;
+  unsigned outside = 0;
   const std::size_t W = wordsPerRow(n);
   std::size_t wBegin = 0;
 #if defined(LCLGRID_BITSLICE_AVX2)
-  if (simdTier() >= SimdTier::kAvx2) {
-    transposeRowAvx2(labels, n, planes, out, W);
+  if (n >= 64 && simdTier() >= SimdTier::kAvx2) {
+    if (!transposeRowAvx2(labels, n, planes, top, out, W)) return false;
     wBegin = static_cast<std::size_t>(n) / 64;  // full words done
-    if (wBegin == W) return;
+    if (wBegin == W) return true;
   }
+#endif
+#if defined(__SSE2__)
+  const __m128i top16 = _mm_set1_epi16(static_cast<short>(top));
+  __m128i outsideV = _mm_setzero_si128();
 #endif
   for (std::size_t w = wBegin; w < W; ++w) {
     const int base = static_cast<int>(w) * 64;
@@ -195,6 +217,9 @@ void transposeRow(const int* labels, int n, int planes, std::uint64_t* out) {
       const __m128i hi = _mm_packs_epi32(
           _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + 8)),
           _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + 12)));
+      outsideV = _mm_or_si128(
+          outsideV, _mm_or_si128(_mm_or_si128(lo, _mm_sub_epi16(top16, lo)),
+                                 _mm_or_si128(hi, _mm_sub_epi16(top16, hi))));
       const __m128i bytes = _mm_packus_epi16(lo, hi);
       for (int b = 0; b < planes; ++b) {
         const unsigned bits = static_cast<unsigned>(
@@ -210,8 +235,9 @@ void transposeRow(const int* labels, int n, int planes, std::uint64_t* out) {
     for (; k + 8 <= m; k += 8) {
       std::uint64_t w8 = 0;
       for (int j = 0; j < 8; ++j) {
-        w8 |= static_cast<std::uint64_t>(
-                  static_cast<std::uint8_t>(labels[base + k + j]))
+        const unsigned label = static_cast<unsigned>(labels[base + k + j]);
+        outside |= label | (top - label);
+        w8 |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(label))
               << (8 * j);
       }
       for (int b = 0; b < planes; ++b) {
@@ -224,6 +250,8 @@ void transposeRow(const int* labels, int n, int planes, std::uint64_t* out) {
 #endif
     for (; k < m; ++k) {
       const int label = labels[base + k];
+      outside |= static_cast<unsigned>(label) |
+                 (top - static_cast<unsigned>(label));
       for (int b = 0; b < planes; ++b) {
         packed[b] |= static_cast<std::uint64_t>((label >> b) & 1) << k;
       }
@@ -232,6 +260,11 @@ void transposeRow(const int* labels, int n, int planes, std::uint64_t* out) {
       out[static_cast<std::size_t>(b) * W + w] = packed[b];
     }
   }
+#if defined(__SSE2__)
+  // The int16 sign bits are the odd bytes' top bits.
+  if ((_mm_movemask_epi8(outsideV) & 0xAAAA) != 0) return false;
+#endif
+  return (outside >> 31) == 0;
 }
 
 void untransposeRow(const std::uint64_t* planes, int n, int planeCount,
@@ -380,9 +413,8 @@ void LabelPlanes::setRows(std::span<const int> labels, long long rowBegin,
     throw std::invalid_argument("LabelPlanes::setRows: labelling size");
   }
   for (long long r = rowBegin; r < rowEnd; ++r) {
-    bitslice::transposeRow(
-        labels.data() + static_cast<std::size_t>(r) * n_, n_, planes_,
-        row(r));
+    bitslice::transposeRow(labels.data() + static_cast<std::size_t>(r) * n_,
+                           n_, planes_, 1 << planes_, row(r));
   }
 }
 

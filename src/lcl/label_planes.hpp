@@ -85,8 +85,10 @@ inline std::uint64_t rowTailMask(int n) {
 /// Transposes one row of n labels into `planes` consecutive plane words
 /// (plane-major: plane b occupies words [b*W, (b+1)*W)). Bits >= n of every
 /// plane word are zero -- the invariant the shift helpers and kernels rely
-/// on. Labels must lie in [0, 2^planes).
-void transposeRow(const int* labels, int n, int planes, std::uint64_t* out);
+/// on. Checks the labels on the same loads: returns false, with `out`
+/// unspecified, iff some label lies outside [0, sigma) (sigma <= 2^planes).
+bool transposeRow(const int* labels, int n, int planes, int sigma,
+                  std::uint64_t* out);
 
 /// Inverse of transposeRow: label x = the concatenation of its plane bits.
 void untransposeRow(const std::uint64_t* planes, int n, int planeCount,

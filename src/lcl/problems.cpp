@@ -20,7 +20,9 @@ GridLcl maximalIndependentSet() {
   return GridLcl("maximal-independent-set", 2, kDepAll,
                  [](int c, int n, int e, int s, int w) {
                    if (c == 1) return n == 0 && e == 0 && s == 0 && w == 0;
-                   return n + e + s + w >= 1;
+                   // Summed wide: garbage labels reach the predicate (the
+                   // verifier's functional tier) and must not overflow.
+                   return static_cast<long long>(n) + e + s + w >= 1;
                  });
 }
 

@@ -422,8 +422,7 @@ namespace {
 /// fires only after a durable write, so abort@nth=K in a crash test kills
 /// the pass with exactly K checkpoints on disk.
 void checkpointSlab(const StreamPass& pass, bool functionalPhase,
-                    long long nextRow, long long frontier,
-                    std::int64_t total) {
+                    long long nextRow, std::int64_t total) {
   static const telemetry::Counter written =
       telemetry::counter("stream.checkpoints");
   static const telemetry::Counter failed =
@@ -433,7 +432,8 @@ void checkpointSlab(const StreamPass& pass, bool functionalPhase,
   checkpoint.labellingFingerprint = pass.labellingFingerprint;
   checkpoint.problemFingerprint = pass.problemFingerprint;
   checkpoint.nextRow = nextRow;
-  checkpoint.frontier = frontier;
+  // The table phase's kernels have checked every row they read.
+  checkpoint.frontier = functionalPhase ? 0 : nextRow;
   checkpoint.total = total;
   if (writeStreamCheckpoint(pass.checkpointPath, checkpoint)) {
     written.increment();
@@ -473,12 +473,11 @@ std::int64_t runStreamPass(const StreamPass& pass, bool stopAtFirst) {
     ~RssAtExit() { gauge.max(support::peakRssKb()); }
   } rssAtExit{rssGauge};
 
-  // Resume: a fingerprint-matching checkpoint restores the cursor, the
-  // validation frontier and the running total. Bit-identity needs no slab
-  // alignment -- totals are exact int64 sums over disjoint row ranges, so
-  // any partition of [0, lines) yields the identical count.
+  // Resume: a fingerprint-matching checkpoint restores the cursor and the
+  // running total. Bit-identity needs no slab alignment -- totals are
+  // exact int64 sums over disjoint row ranges, so any partition of
+  // [0, lines) yields the identical count.
   long long startRow = 0;
-  long long startFrontier = 0;
   std::int64_t startTotal = 0;
   bool resumeFunctional = false;
   if (checkpointing) {
@@ -488,7 +487,6 @@ std::int64_t runStreamPass(const StreamPass& pass, bool stopAtFirst) {
           loaded->nextRow <= lines && loaded->frontier <= lines &&
           (loaded->functionalPhase || table)) {
         startRow = loaded->nextRow;
-        startFrontier = loaded->frontier;
         startTotal = loaded->total;
         resumeFunctional = loaded->functionalPhase;
         resumeCounter.increment();
@@ -498,38 +496,26 @@ std::int64_t runStreamPass(const StreamPass& pass, bool stopAtFirst) {
 
   std::int64_t total = 0;
   if (table && !resumeFunctional) {
-    // The wrap stash is read by the first slab's cyclic neighbours before
-    // the validation cursor reaches it, so it is validated up front (a
-    // resumed pass revalidates it -- cheap, and robust to a file swapped
-    // underneath the checkpoint).
-    const long long tailBegin = std::max(0LL, lines - pass.wrapKeep);
-    if (!pass.rowsInRange(tailBegin, lines)) table = false;
-  }
-  if (table && !resumeFunctional) {
-    // Rows [0, frontier) -- plus the wrap stash above -- are known
-    // in-range; the frontier stays one wrap window ahead of the kernel so
-    // no table row is ever indexed by an unvalidated label.
-    long long frontier = startFrontier;
+    // The slab kernels check every row they read (the wrap stash included)
+    // just before first use, so the walk needs no validation pass.
     // Rows [0, wrapKeep) stay pinned.
     long long dropCursor = std::max(pass.wrapKeep, startRow);
     long long slabsSinceCheckpoint = 0;
     total = startTotal;
     for (long long begin = startRow; begin < lines; begin += pass.window) {
       const long long end = std::min(lines, begin + pass.window);
-      const long long need = std::min(lines, end + pass.wrapKeep);
-      if (frontier < need) {
-        if (!pass.rowsInRange(frontier, need)) {
-          table = false;
-          break;
-        }
-        frontier = need;
-      }
+      std::int64_t slab;
       {
         slabCounter.increment();
         telemetry::ScopedSpan slabSpan("stream/slab");
         (void)FAULT_POINT("stream.slab");
-        total += pass.kernelRows(begin, end, stopAtFirst);
+        slab = pass.kernelRows(begin, end, stopAtFirst);
       }
+      if (slab == verifier_detail::kOutOfRange) {
+        table = false;
+        break;
+      }
+      total += slab;
       if (stopAtFirst && total > 0) return total;
       if (pass.dropBehind) {
         const long long dropEnd = end - pass.wrapKeep;
@@ -541,21 +527,22 @@ std::int64_t runStreamPass(const StreamPass& pass, bool stopAtFirst) {
       }
       if (checkpointing && ++slabsSinceCheckpoint >= pass.checkpointEverySlabs) {
         slabsSinceCheckpoint = 0;
-        checkpointSlab(pass, /*functionalPhase=*/false, end, frontier, total);
+        checkpointSlab(pass, /*functionalPhase=*/false, end, total);
       }
     }
     if (table) {
       if (checkpointing) removeStreamCheckpoint(pass.checkpointPath);
       return total;
     }
+    verify_probes::recordRangeFallback();
   }
-  // Functional fallback: an uncompiled problem, or an out-of-range label
-  // surfaced mid-stream -- the whole pass restarts on the predicate loop,
-  // mirroring the in-core engine's whole-labelling tier choice (dropped
-  // pages are simply paged back in). A table-phase crash between the
-  // fallback and the first functional checkpoint resumes into the table
-  // phase, rediscovers the out-of-range label and falls back again --
-  // always to the same functional-from-zero restart.
+  // Functional fallback: an uncompiled problem, or (count passes) an
+  // out-of-range label surfaced mid-stream -- the whole pass restarts on
+  // the predicate loop, mirroring the in-core engine's functional recount
+  // (dropped pages are simply paged back in). A table-phase crash between
+  // the fallback and the first functional checkpoint resumes into the
+  // table phase, rediscovers the out-of-range label and falls back again
+  // -- always to the same functional-from-zero restart.
   const long long functionalStart = resumeFunctional ? startRow : 0;
   total = resumeFunctional ? startTotal : 0;
   long long dropCursor = std::max(pass.wrapKeep, functionalStart);
@@ -580,8 +567,7 @@ std::int64_t runStreamPass(const StreamPass& pass, bool stopAtFirst) {
     }
     if (checkpointing && ++slabsSinceCheckpoint >= pass.checkpointEverySlabs) {
       slabsSinceCheckpoint = 0;
-      checkpointSlab(pass, /*functionalPhase=*/true, end, /*frontier=*/0,
-                     total);
+      checkpointSlab(pass, /*functionalPhase=*/true, end, total);
     }
   }
   if (checkpointing) removeStreamCheckpoint(pass.checkpointPath);

@@ -7,10 +7,10 @@
 // of axis-0 rows with a rolling window:
 //
 //  * the kernel reads rows [slab - 1, slab + 1] (2D) or the neighbour-line
-//    window of the outer axes (d >= 3);
-//  * a validation frontier runs one wrap window ahead of the kernel, so an
-//    out-of-range label is discovered before it can index a table row
-//    (falling back to the functional tier, exactly like the in-core engine);
+//    window of the outer axes (d >= 3), checking each row just before its
+//    first use, so an out-of-range label never indexes a table row: a
+//    verify pass answers infeasible, a count pass restarts on the
+//    functional tier, exactly like the in-core engine;
 //  * pages behind the window are dropped (madvise) as the cursor advances,
 //    with the wrap stash -- the first wrap window of rows, needed again by
 //    the final rows' cyclic neighbours -- pinned resident;
@@ -139,14 +139,17 @@ struct StreamWindow {
 /// ("LCLCKPv1", 64 bytes, docs/robustness.md). Exposed for tests and
 /// recovery tooling; the pass reads and writes it internally.
 struct StreamCheckpoint {
-  /// False: the table-tier walk (frontier meaningful). True: the
-  /// functional fallback walk (a restart after an out-of-range label).
+  /// False: the table-tier walk. True: the functional fallback walk (a
+  /// restart after an out-of-range label).
   bool functionalPhase = false;
   std::uint64_t labellingFingerprint = 0;
   std::uint64_t problemFingerprint = 0;
   /// First row the resumed pass still has to process.
   long long nextRow = 0;
-  /// Validation frontier (table phase): rows [0, frontier) are in-range.
+  /// Rows [0, frontier) the table phase has range-checked. The kernel
+  /// checks rows as it reads them, so the pass writes nextRow here (0 in
+  /// the functional phase); a load still validates the field, which keeps
+  /// the LCLCKPv1 layout, but the resumed pass does not use it.
   long long frontier = 0;
   /// Violations accumulated over rows [0, nextRow).
   std::int64_t total = 0;
@@ -176,26 +179,27 @@ namespace stream_verify_detail {
 long long resolveWindowRows(int n, long long lines, long long requested);
 
 /// The wrap window: rows pinned resident at the front of the payload (the
-/// final rows' cyclic neighbours), and the lookahead the validation
-/// frontier keeps ahead of the kernel. 1 row for dims <= 2; n^(dims-2)
-/// rows (one outermost-axis block) for d >= 3, where the farthest
-/// neighbour line of the table kernel lives.
+/// final rows' cyclic neighbours). 1 row for dims <= 2; n^(dims-2) rows
+/// (one outermost-axis block) for d >= 3, where the farthest neighbour
+/// line of the table kernel lives -- also the halo the d >= 3 table slice
+/// range-checks on each side of its lines.
 long long wrapWindowRows(int dims, int n);
 
 /// One streaming pass, parameterised over how a slab executes (the engine
 /// runs the verifier_detail slices inline or through the pool).
-/// tablePath == false skips validation and runs functionalRows only; an
-/// out-of-range row on the table path restarts the whole pass on
-/// functionalRows, mirroring the in-core fallback.
+/// tablePath == false runs functionalRows only. On the table path an
+/// out-of-range label makes kernelRows return 1 in a verify pass (a
+/// violated node) and verifier_detail::kOutOfRange in a count pass, which
+/// restarts the whole pass on functionalRows, mirroring the in-core
+/// fallback.
 struct StreamPass {
   const StreamLabelling* file = nullptr;
   long long window = 1;
   long long wrapKeep = 1;
   bool dropBehind = true;
   bool tablePath = false;
-  /// True iff every label of rows [rowBegin, rowEnd) is in [0, sigma).
-  std::function<bool(long long rowBegin, long long rowEnd)> rowsInRange;
-  /// Table/bit-sliced violations of rows [rowBegin, rowEnd).
+  /// Table/bit-sliced violations of rows [rowBegin, rowEnd), or
+  /// verifier_detail::kOutOfRange (count passes).
   std::function<std::int64_t(long long rowBegin, long long rowEnd,
                              bool stopAtFirst)>
       kernelRows;

@@ -26,23 +26,41 @@ namespace lclgrid {
 
 namespace {
 
+using verifier_detail::kOutOfRange;
+
+/// Row y of an nRows x n row-major labelling, wrapping cyclically for
+/// y in [-nRows, 2 * nRows).
+const int* rowAt(const int* labels, int n, int nRows, int y) {
+  const int wrapped = y < 0 ? y + nRows : (y >= nRows ? y - nRows : y);
+  return labels + static_cast<std::size_t>(wrapped) * n;
+}
+
 /// Table-driven kernel over grid rows [yBegin, yEnd) of one labelling, laid
-/// out row-major (node y*n+x). Requires every label in [0, sigma).
-/// Neighbour lookups use row pointers instead of Torus2D::step, so the
-/// inner loop is a handful of loads, one table row fetch and a bit test per
-/// node. The row-range form is what the engine's sharded verifier
-/// distributes across threads (per-shard accumulators, combined in shard
-/// order, hence bit-identical to one serial sweep).
+/// out row-major (node y*n+x). Neighbour lookups use row pointers instead
+/// of Torus2D::step, so the inner loop is a handful of loads, one table row
+/// fetch and a bit test per node. Rows y-1 and y are checked before the
+/// loop and row y+1 before row y reads it, so no out-of-range label indexes
+/// the table (kOutOfRange instead). The row-range form is what the engine's
+/// sharded verifier distributes across threads (per-shard accumulators,
+/// combined in shard order, hence bit-identical to one serial sweep).
 template <bool StopAtFirst>
 std::int64_t tableViolations(const LclTable& table, int n, const int* labels,
                              int yBegin, int yEnd) {
+  const auto rowOk = [&](int y) {
+    return verifier_detail::allLabelsInRange(
+        table.sigma(),
+        std::span<const int>(rowAt(labels, n, n, y),
+                             static_cast<std::size_t>(n)));
+  };
+  if (yBegin < yEnd && (!rowOk(yBegin - 1) || !rowOk(yBegin))) {
+    return kOutOfRange;
+  }
   std::int64_t bad = 0;
   for (int y = yBegin; y < yEnd; ++y) {
+    if (!rowOk(y + 1)) return kOutOfRange;
     const int* row = labels + static_cast<std::size_t>(y) * n;
-    const int* rowNorth =
-        labels + static_cast<std::size_t>(y + 1 == n ? 0 : y + 1) * n;
-    const int* rowSouth =
-        labels + static_cast<std::size_t>(y == 0 ? n - 1 : y - 1) * n;
+    const int* rowNorth = rowAt(labels, n, n, y + 1);
+    const int* rowSouth = rowAt(labels, n, n, y - 1);
     for (int x = 0; x < n; ++x) {
       const int east = row[x + 1 == n ? 0 : x + 1];
       const int west = row[x == 0 ? n - 1 : x - 1];
@@ -314,8 +332,9 @@ NotEqualRowFn selectNotEqualRowFn(std::size_t W) {
 /// Compile-time B keeps the plane loops unrolled. Wide rows dispatch each
 /// row to the AVX2/AVX-512 worker selected above instead.
 template <bool StopAtFirst, int B>
-std::int64_t notEqualPlanesViolations(int n, int nRows, const int* labels,
-                                      int yBegin, int yEnd) {
+std::int64_t notEqualPlanesViolations(int sigma, int n, int nRows,
+                                      const int* labels, int yBegin,
+                                      int yEnd) {
   const std::size_t W = bitslice::wordsPerRow(n);
   const std::uint64_t tail = bitslice::rowTailMask(n);
   const int topShift = (n - 1) & 63;
@@ -340,12 +359,14 @@ std::int64_t notEqualPlanesViolations(int n, int nRows, const int* labels,
     }
     return word;
   };
-  const auto rowAt = [&](int y) {
-    const int wrapped = y < 0 ? y + nRows : (y >= nRows ? y - nRows : y);
-    return labels + static_cast<std::size_t>(wrapped) * n;
+  // The transpose range-checks each row as it loads it.
+  const auto transpose = [&](int y, std::uint64_t* out) {
+    return bitslice::transposeRow(rowAt(labels, n, nRows, y), n, B, sigma,
+                                  out);
   };
-  bitslice::transposeRow(rowAt(yBegin - 1), n, B, prevP);
-  bitslice::transposeRow(rowAt(yBegin), n, B, curP);
+  if (!transpose(yBegin - 1, prevP) || !transpose(yBegin, curP)) {
+    return kOutOfRange;
+  }
   for (std::size_t w = 0; w < W; ++w) {
     std::uint64_t diff = 0;
     for (int b = 0; b < B; ++b) {
@@ -356,7 +377,7 @@ std::int64_t notEqualPlanesViolations(int n, int nRows, const int* labels,
   }
   std::int64_t bad = 0;
   for (int y = yBegin; y < yEnd; ++y) {
-    bitslice::transposeRow(rowAt(y + 1), n, B, nextP);
+    if (!transpose(y + 1, nextP)) return kOutOfRange;
     if (rowFn != nullptr) {
       const std::int64_t rowBad = rowFn(curP, nextP, vPrev, vUp, hBuf, B, W,
                                         tail, topShift, StopAtFirst);
@@ -421,20 +442,20 @@ std::int64_t notEqualPlanesViolations(int n, int nRows, const int* labels,
 /// down stream is the previous row's up stream (both rolled, so every
 /// pair network evaluates once per row).
 template <bool StopAtFirst>
-std::int64_t pairPlanesViolations(const bitslice::BitslicePlan& plan, int n,
-                                  int nRows, const int* labels, int yBegin,
-                                  int yEnd) {
+std::int64_t pairPlanesViolations(const bitslice::BitslicePlan& plan,
+                                  int sigma, int n, int nRows,
+                                  const int* labels, int yBegin, int yEnd) {
   if (plan.h.notEqual && plan.v.notEqual) {
     switch (plan.planes) {
       case 1:
-        return notEqualPlanesViolations<StopAtFirst, 1>(n, nRows, labels,
-                                                        yBegin, yEnd);
+        return notEqualPlanesViolations<StopAtFirst, 1>(sigma, n, nRows,
+                                                        labels, yBegin, yEnd);
       case 2:
-        return notEqualPlanesViolations<StopAtFirst, 2>(n, nRows, labels,
-                                                        yBegin, yEnd);
+        return notEqualPlanesViolations<StopAtFirst, 2>(sigma, n, nRows,
+                                                        labels, yBegin, yEnd);
       case 3:
-        return notEqualPlanesViolations<StopAtFirst, 3>(n, nRows, labels,
-                                                        yBegin, yEnd);
+        return notEqualPlanesViolations<StopAtFirst, 3>(sigma, n, nRows,
+                                                        labels, yBegin, yEnd);
       default:
         break;  // unreachable for sigma <= 8; fall through to generic
     }
@@ -452,16 +473,18 @@ std::int64_t pairPlanesViolations(const bitslice::BitslicePlan& plan, int n,
   std::uint64_t* hWest = hEast + W;
   std::uint64_t* vUp = hWest + W;
   std::uint64_t* vPrev = vUp + W;
-  const auto rowAt = [&](int y) {
-    const int wrapped = y < 0 ? y + nRows : (y >= nRows ? y - nRows : y);
-    return labels + static_cast<std::size_t>(wrapped) * n;
+  // The transpose range-checks each row as it loads it.
+  const auto transpose = [&](int y, std::uint64_t* out) {
+    return bitslice::transposeRow(rowAt(labels, n, nRows, y), n, B, sigma,
+                                  out);
   };
-  bitslice::transposeRow(rowAt(yBegin - 1), n, B, prevP);
-  bitslice::transposeRow(rowAt(yBegin), n, B, curP);
+  if (!transpose(yBegin - 1, prevP) || !transpose(yBegin, curP)) {
+    return kOutOfRange;
+  }
   plan.v.eval(prevP, curP, W, vPrev);  // bit x = V(c[y-1][x], c[y][x])
   std::int64_t bad = 0;
   for (int y = yBegin; y < yEnd; ++y) {
-    bitslice::transposeRow(rowAt(y + 1), n, B, nextP);
+    if (!transpose(y + 1, nextP)) return kOutOfRange;
     for (int b = 0; b < B; ++b) {
       bitslice::shiftUpCyclic(curP + static_cast<std::size_t>(b) * W,
                               eastP + static_cast<std::size_t>(b) * W, n);
@@ -499,19 +522,44 @@ std::uint64_t byteTailMask(int n) {
                   : (std::uint64_t{1} << (8 * rem)) - 1;
 }
 
-/// Packs one row of n labels (each < 4) into byte lanes, 8 per word;
-/// lanes >= n are zero.
-void packByteRow(const int* labels, int n, std::uint64_t* out) {
+/// Packs one row of n labels into byte lanes, 8 per word; lanes >= n are
+/// zero. Checks the labels on the same loads, as bitslice::transposeRow
+/// does: returns false, with `out` unspecified, iff some label lies
+/// outside [0, sigma) (sigma <= 4).
+bool packByteRow(const int* labels, int n, int sigma, std::uint64_t* out) {
+  const unsigned top = static_cast<unsigned>(sigma) - 1u;
+  unsigned outside = 0;
   const std::size_t W8 = byteWords(n);
-  for (std::size_t w = 0; w < W8; ++w) {
+  std::size_t w = 0;
+#if defined(__SSE2__)
+  // Whole words: two pack stages narrow 8 labels to their 8 byte lanes;
+  // the check tests the saturated int16 lanes of the first.
+  const __m128i top16 = _mm_set1_epi16(static_cast<short>(top));
+  __m128i outsideV = _mm_setzero_si128();
+  for (; (w + 1) * 8 <= static_cast<std::size_t>(n); ++w) {
+    const int* p = labels + w * 8;
+    const __m128i halves = _mm_packs_epi32(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(p)),
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + 4)));
+    outsideV = _mm_or_si128(
+        outsideV, _mm_or_si128(halves, _mm_sub_epi16(top16, halves)));
+    _mm_storel_epi64(reinterpret_cast<__m128i*>(out + w),
+                     _mm_packus_epi16(halves, halves));
+  }
+  if ((_mm_movemask_epi8(outsideV) & 0xAAAA) != 0) return false;
+#endif
+  for (; w < W8; ++w) {
     const int base = static_cast<int>(w) * 8;
     const int m = std::min(8, n - base);
     std::uint64_t word = 0;
     for (int i = 0; i < m; ++i) {
-      word |= static_cast<std::uint64_t>(labels[base + i]) << (8 * i);
+      const unsigned label = static_cast<unsigned>(labels[base + i]);
+      outside |= label | (top - label);
+      word |= static_cast<std::uint64_t>(label & 0xFFu) << (8 * i);
     }
     out[w] = word;
   }
+  return (outside >> 31) == 0;
 }
 
 /// dst lane x = src lane (x + 1 mod n) / (x - 1 mod n): the byte-lane
@@ -708,9 +756,9 @@ NibbleRowFn selectNibbleRowFn(int n) {
 /// west label selecting the bit. Long rows dispatch to the gather/permute
 /// workers above instead.
 template <bool StopAtFirst>
-std::int64_t nibbleViolations(const bitslice::NibbleLut& lut, int n,
-                              int nRows, const int* labels, int yBegin,
-                              int yEnd) {
+std::int64_t nibbleViolations(const bitslice::NibbleLut& lut, int sigma,
+                              int n, int nRows, const int* labels,
+                              int yBegin, int yEnd) {
   const std::array<std::uint8_t, 256>& byW = lut.byWest;
   const NibbleRowFn rowFn = selectNibbleRowFn(n);
   std::array<std::uint32_t, 256> lut32{};
@@ -725,15 +773,14 @@ std::int64_t nibbleViolations(const bitslice::NibbleLut& lut, int n,
   std::uint64_t* north = cur + W8;
   std::uint64_t* east = north + W8;
   std::uint64_t* west = east + W8;
-  const auto rowAt = [&](int y) {
-    const int wrapped = y < 0 ? y + nRows : (y >= nRows ? y - nRows : y);
-    return labels + static_cast<std::size_t>(wrapped) * n;
+  // The packing range-checks each row as it loads it.
+  const auto pack = [&](int y, std::uint64_t* out) {
+    return packByteRow(rowAt(labels, n, nRows, y), n, sigma, out);
   };
-  packByteRow(rowAt(yBegin - 1), n, south);
-  packByteRow(rowAt(yBegin), n, cur);
+  if (!pack(yBegin - 1, south) || !pack(yBegin, cur)) return kOutOfRange;
   std::int64_t bad = 0;
   for (int y = yBegin; y < yEnd; ++y) {
-    packByteRow(rowAt(y + 1), n, north);
+    if (!pack(y + 1, north)) return kOutOfRange;
     shiftByteUp(cur, east, n);
     shiftByteDown(cur, west, n);
     if (rowFn != nullptr) {
@@ -770,15 +817,15 @@ std::int64_t nibbleViolations(const bitslice::NibbleLut& lut, int n,
 }
 
 template <bool StopAtFirst>
-std::int64_t bitsliceViolations(const bitslice::BitslicePlan& plan, int n,
-                                int nRows, const int* labels, int yBegin,
-                                int yEnd) {
+std::int64_t bitsliceViolations(const bitslice::BitslicePlan& plan, int sigma,
+                                int n, int nRows, const int* labels,
+                                int yBegin, int yEnd) {
   if (plan.kind == bitslice::BitslicePlan::Kind::kPairPlanes) {
-    return pairPlanesViolations<StopAtFirst>(plan, n, nRows, labels, yBegin,
-                                             yEnd);
+    return pairPlanesViolations<StopAtFirst>(plan, sigma, n, nRows, labels,
+                                             yBegin, yEnd);
   }
-  return nibbleViolations<StopAtFirst>(plan.nibble, n, nRows, labels, yBegin,
-                                       yEnd);
+  return nibbleViolations<StopAtFirst>(plan.nibble, sigma, n, nRows, labels,
+                                       yBegin, yEnd);
 }
 
 /// Fallback for uncompiled problems or out-of-alphabet labels, over nodes
@@ -848,12 +895,16 @@ std::vector<Violation> listViolations(const Torus2D& torus, const GridLcl& lcl,
 namespace verifier_detail {
 
 bool allLabelsInRange(int sigma, std::span<const int> labels) {
-  for (int label : labels) {
-    if (static_cast<unsigned>(label) >= static_cast<unsigned>(sigma)) {
-      return false;
-    }
+  // Branch-free so it vectorises: in unsigned arithmetic label |
+  // (sigma - 1 - label) has its top bit set exactly when the label is
+  // negative or above sigma - 1, and the OR over the span keeps that bit.
+  const unsigned top = static_cast<unsigned>(sigma) - 1u;
+  unsigned outside = 0;
+  for (const int label : labels) {
+    const unsigned value = static_cast<unsigned>(label);
+    outside |= value | (top - value);
   }
-  return true;
+  return (outside >> 31) == 0;
 }
 
 std::int64_t tableViolationRows(const LclTable& table, int n,
@@ -873,10 +924,10 @@ std::int64_t bitsliceViolationRows(const LclTable& table, int n, int nRows,
                                    const int* labels, int yBegin, int yEnd,
                                    bool stopAtFirst) {
   const bitslice::BitslicePlan& plan = *table.bitslicePlan();
-  return stopAtFirst ? bitsliceViolations<true>(plan, n, nRows, labels,
-                                                yBegin, yEnd)
-                     : bitsliceViolations<false>(plan, n, nRows, labels,
-                                                 yBegin, yEnd);
+  return stopAtFirst ? bitsliceViolations<true>(plan, table.sigma(), n, nRows,
+                                                labels, yBegin, yEnd)
+                     : bitsliceViolations<false>(plan, table.sigma(), n,
+                                                 nRows, labels, yBegin, yEnd);
 }
 
 std::int64_t functionalViolationRange(const Torus2D& torus, const GridLcl& lcl,

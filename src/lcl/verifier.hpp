@@ -7,8 +7,8 @@
 //    coordinates and label names, for tests and debugging;
 //  * the kernel slices (verifier_detail) of the three in-core tiers (see
 //    docs/perf.md for the selection rules and measurements):
-//     - functional -- the predicate loop, for uncompiled problems or
-//       out-of-alphabet labels;
+//     - functional -- the predicate loop, for uncompiled problems, and
+//       the count-mode recount of a labelling with out-of-alphabet labels;
 //     - row-pointer -- one compiled-table row load and a bit test per node;
 //     - bit-sliced -- for small alphabets the labelling is transposed into
 //       bit-planes (lcl/label_planes.hpp) and one uint64_t operation
@@ -55,12 +55,20 @@ std::vector<Violation> listViolations(const TorusD& torus, const GridLclD& lcl,
 /// Not part of the stable API.
 namespace verifier_detail {
 
-/// True iff every label lies in [0, sigma) -- the precondition of the
-/// table kernel.
+/// What a table or bit-sliced slice returns instead of a count when a
+/// label it reads lies outside [0, sigma). Each slice checks every row (or
+/// axis-0 line) it reads once, just before first use, so an out-of-range
+/// label never indexes a table row; the engine turns the sentinel into an
+/// infeasible verdict (verify mode) or a functional recount (count mode).
+inline constexpr std::int64_t kOutOfRange = -1;
+
+/// True iff every label lies in [0, sigma): the branch-free, vectorised
+/// check the table slices run per row and tier pins run over the labelling
+/// (the bit-sliced slices fold it into their transpose / packing loads).
 bool allLabelsInRange(int sigma, std::span<const int> labels);
 
-/// Violations of the compiled-table kernel on grid rows [yBegin, yEnd);
-/// labels must all be in range. stopAtFirst returns at most 1.
+/// Violations of the compiled-table kernel on grid rows [yBegin, yEnd),
+/// or kOutOfRange. stopAtFirst returns at most 1.
 std::int64_t tableViolationRows(const LclTable& table, int n,
                                 const int* labels, int yBegin, int yEnd,
                                 bool stopAtFirst);
@@ -73,9 +81,9 @@ std::int64_t tableViolationRows(const LclTable& table, int n,
 bool bitsliceSelected(const GridLcl& lcl, long long nodes);
 
 /// Violations of the bit-sliced kernel on grid rows [yBegin, yEnd) of an
-/// nRows x n row-major labelling (rows wrap cyclically); labels must all
-/// be in range and the table must carry a plan. Rows are transposed into
-/// rolling bit-plane (or packed-nibble) buffers internally, so a shard is
+/// nRows x n row-major labelling (rows wrap cyclically), or kOutOfRange;
+/// the table must carry a plan. Rows are transposed into rolling
+/// bit-plane (or packed-nibble) buffers internally, so a shard is
 /// self-contained. stopAtFirst returns at most 1, deciding per 64-node
 /// word. Counts are bit-identical to tableViolationRows.
 std::int64_t bitsliceViolationRows(const LclTable& table, int n, int nRows,
@@ -94,9 +102,12 @@ std::int64_t functionalViolationRange(const Torus2D& torus, const GridLcl& lcl,
 /// Number of axis-0 lines: torus.size() / torus.n().
 long long lineCountD(const TorusD& torus);
 
-/// Violations of the compiled-table kernel on lines [lineBegin, lineEnd);
-/// labels must all be in range. Routes d = 2 through tableViolationRows on
-/// the delegated LclTable. stopAtFirst returns at most 1.
+/// Violations of the compiled-table kernel on lines [lineBegin, lineEnd),
+/// or kOutOfRange. Routes d = 2 through tableViolationRows on the
+/// delegated LclTable. For d >= 3 the slice checks its lines plus one
+/// outermost-axis block of halo on each side, cyclically (every neighbour
+/// line lies within that block; stream_verify_detail::wrapWindowRows).
+/// stopAtFirst returns at most 1.
 std::int64_t tableViolationLinesD(const LclTableD& table, const TorusD& torus,
                                   const int* labels, long long lineBegin,
                                   long long lineEnd, bool stopAtFirst);
@@ -114,15 +125,19 @@ bool bitsliceSelected(const GridLclD& lcl, long long nodes);
 LabelPlanes bitsliceMakePlanesD(const TorusD& torus, const LclTableD& table);
 
 /// Transposes lines [lineBegin, lineEnd) of the labelling into `planes`
-/// -- the staging pass the engine shards separately from the kernel pass.
-void bitsliceStageLinesD(const TorusD& torus, std::span<const int> labels,
+/// -- the staging pass the engine shards separately from the kernel pass
+/// -- checking each line just before it is transposed. Returns false,
+/// with staging stopped, at the first line holding a label outside
+/// [0, sigma).
+bool bitsliceStageLinesD(int sigma, std::span<const int> labels,
                          LabelPlanes& planes, long long lineBegin,
                          long long lineEnd);
 
-/// Violations of the bit-sliced kernel on lines [lineBegin, lineEnd).
-/// d = 2 tables route through bitsliceViolationRows on the raw labels
-/// (planes unused); d >= 3 reads the staged planes. Counts are
-/// bit-identical to tableViolationLinesD.
+/// Violations of the bit-sliced kernel on lines [lineBegin, lineEnd), or
+/// kOutOfRange. d = 2 tables route through bitsliceViolationRows on the
+/// raw labels (planes unused); d >= 3 reads the staged planes, whose
+/// labels staging already checked. Counts are bit-identical to
+/// tableViolationLinesD.
 std::int64_t bitsliceViolationLinesD(const LclTableD& table,
                                      const TorusD& torus,
                                      const LabelPlanes& planes,

@@ -12,14 +12,21 @@
 #include <stdexcept>
 #include <vector>
 
+#include "lcl/stream_verify.hpp"
 #include "lcl/verifier.hpp"
 
 namespace lclgrid {
 
 namespace {
 
+using verifier_detail::kOutOfRange;
+
 /// Table-driven kernel over axis-0 lines [lineBegin, lineEnd) of one
-/// labelling. Requires every label in [0, sigma).
+/// labelling, or kOutOfRange. Every neighbour line of line L lies within
+/// one outermost-axis block (n^(dims-2) lines) of L, cyclically, so the
+/// slice checks [lineBegin - block, lineBegin + block) up front and line
+/// L + block before line L reads its neighbours; no out-of-range label
+/// indexes the table.
 template <bool StopAtFirst>
 std::int64_t tableViolationLines(const LclTableD& table, const TorusD& torus,
                                  const int* labels, long long lineBegin,
@@ -30,6 +37,23 @@ std::int64_t tableViolationLines(const LclTableD& table, const TorusD& torus,
                                                static_cast<int>(lineBegin),
                                                static_cast<int>(lineEnd),
                                                StopAtFirst);
+  }
+  if (lineBegin >= lineEnd) return 0;
+  const long long lines = verifier_detail::lineCountD(torus);
+  const long long block =
+      stream_verify_detail::wrapWindowRows(torus.dims(), n);
+  const auto lineOk = [&](long long line) {
+    const long long wrapped = ((line % lines) + lines) % lines;
+    return verifier_detail::allLabelsInRange(
+        table.sigma(), std::span<const int>(labels + wrapped * n,
+                                            static_cast<std::size_t>(n)));
+  };
+  // A halo that covers the torus is checked whole, each line once.
+  const bool whole = lineEnd - lineBegin + 2 * block >= lines;
+  const long long checkBegin = whole ? 0 : lineBegin - block;
+  const long long checkEnd = whole ? lines : lineBegin + block;
+  for (long long line = checkBegin; line < checkEnd; ++line) {
+    if (!lineOk(line)) return kOutOfRange;
   }
   const int dims = torus.dims();
   const std::size_t* strides = table.slotStrides();
@@ -46,6 +70,7 @@ std::int64_t tableViolationLines(const LclTableD& table, const TorusD& torus,
   std::vector<const int*> negLine(static_cast<std::size_t>(dims), nullptr);
   std::int64_t bad = 0;
   for (long long line = lineBegin; line < lineEnd; ++line) {
+    if (!whole && !lineOk(line + block)) return kOutOfRange;
     const int* row = labels + line * n;
     long long rem = line;
     for (int a = 1; a < dims; ++a) {
@@ -258,11 +283,18 @@ LabelPlanes bitsliceMakePlanesD(const TorusD& torus, const LclTableD& table) {
                      table.bitslicePlanD()->planes);
 }
 
-void bitsliceStageLinesD(const TorusD& torus, std::span<const int> labels,
+bool bitsliceStageLinesD(int sigma, std::span<const int> labels,
                          LabelPlanes& planes, long long lineBegin,
                          long long lineEnd) {
-  (void)torus;
-  planes.setRows(labels, lineBegin, lineEnd);
+  const int n = planes.n();
+  for (long long line = lineBegin; line < lineEnd; ++line) {
+    const int* row = labels.data() + static_cast<std::size_t>(line) * n;
+    if (!bitslice::transposeRow(row, n, planes.planes(), sigma,
+                                planes.row(line))) {
+      return false;
+    }
+  }
+  return true;
 }
 
 std::int64_t bitsliceViolationLinesD(const LclTableD& table,

@@ -15,17 +15,25 @@
 // Semantics: verify-mode early-exits at the first violation (first
 // violating 64-node word on the bit-sliced tier, first violating shard
 // chunk when threaded, first violating slab when streaming); count-mode
-// scans everything and reports the exact total. Counts are bit-identical
-// on every kernel tier, thread count and transport, and the two modes
-// agree on feasibility. The verification service daemon (src/service)
-// dispatches exclusively through this entry point; the four
-// single-labelling conveniences at the end only fill a request.
+// scans everything and reports the exact total. A label outside [0, sigma)
+// is a violated node. There is no separate range scan: each table or
+// bit-sliced kernel slice checks the rows it reads just before first use,
+// and one that meets an out-of-range label stops. Verify mode then answers
+// infeasible; count mode recounts that labelling on the functional tier
+// (reported as VerifyTier::kFunctional, counted by the
+// verify.range_fallbacks telemetry counter), a streaming pass restarting
+// on it. Counts are bit-identical on every kernel tier, thread count and
+// transport, and the two modes agree on feasibility. The verification
+// service daemon (src/service) dispatches exclusively through this entry
+// point; the four single-labelling conveniences at the end only fill a
+// request.
 //
 // Tier selection and pinning: by default (TierPin::kAuto) the request runs
 // the tier the engine selects per docs/perf.md. A pinned tier runs exactly
 // that kernel, bypassing the bit-slice node floor and the LCLGRID_BITSLICE
 // gate, and throws std::invalid_argument when the problem/instance cannot
-// run it (no compiled table, no bit-slice plan, out-of-range labels).
+// run it (no compiled table, no bit-slice plan, out-of-range labels -- a
+// table or bit-sliced pin scans the labels up front for this).
 // Streaming requests (a file or labellingPath) always report
 // VerifyTier::kStream and accept only kAuto.
 //
@@ -116,9 +124,9 @@ struct VerifyResult {
   /// aggregate fields alone, keeping the hot path allocation-free.
   std::vector<std::uint8_t> feasiblePerLabelling;
   std::vector<std::int64_t> violationsPerLabelling;  // count mode only
-  /// The tier the request dispatched to. Batches select per labelling and
-  /// report the first labelling's selection (an out-of-range labelling
-  /// later in the batch still falls back functionally on its own).
+  /// The tier the request ran on: kFunctional when a count request
+  /// recounted an out-of-range labelling there. Batches select (and fall
+  /// back) per labelling and report the first labelling's tier.
   VerifyTier tier = VerifyTier::kFunctional;
   /// Fingerprint of the problem's compiled table (0 when uncompiled).
   std::uint64_t fingerprint = 0;

@@ -1,8 +1,9 @@
 // Shared kernel-tier attribution probes for the verification engine
 // (support/telemetry.hpp): engine/verify_api.cpp (the in-core tiers) and
 // stream_verify.cpp (the streaming pass) funnel their tier dispatch through
-// recordCall() so the four tiers share one set of counter names. All of
-// this compiles to nothing with -DLCLGRID_TELEMETRY=OFF.
+// recordCall() (and out-of-range functional fallbacks through
+// recordRangeFallback()) so the four tiers share one set of counter names.
+// All of this compiles to nothing with -DLCLGRID_TELEMETRY=OFF.
 #pragma once
 
 #include <cstddef>
@@ -57,6 +58,15 @@ inline void recordCall(Tier tier, std::int64_t nodes) {
                                         tm::counter("verify.simd.avx512")};
     simd[static_cast<std::size_t>(bitslice::simdTier())].increment();
   }
+}
+
+/// Bumps verify.range_fallbacks: a kernel slice met a label outside
+/// [0, sigma) and a count request (in-core or stream) reruns on the
+/// functional tier -- the trace's answer to why the functional tier ran.
+inline void recordRangeFallback() {
+  static const telemetry::Counter fallbacks =
+      telemetry::counter("verify.range_fallbacks");
+  fallbacks.increment();
 }
 
 }  // namespace lclgrid::verify_probes

@@ -108,6 +108,19 @@ std::uint8_t tierPinOf(const std::string& name) {
   throw std::invalid_argument("service: unknown tier pin \"" + name + "\"");
 }
 
+/// A JSON integer field narrowed to T. Out-of-range values throw (an error
+/// line) instead of wrapping: label 4294967297 must not verify as label 1.
+template <typename T>
+T jsonIntAs(const JsonValue& value, const char* field) {
+  const long long raw = value.asInt();
+  if (!std::in_range<T>(raw)) {
+    throw std::invalid_argument(std::string("service: \"") + field +
+                                "\" value " + std::to_string(raw) +
+                                " is out of range");
+  }
+  return static_cast<T>(raw);
+}
+
 /// A JSON request's problem fingerprint: an integer, or the "0x" + hex
 /// string every response carries (JsonWriter::hex), so a client can send
 /// back what it was given.
@@ -505,7 +518,7 @@ void VerificationService::jsonLoop(const std::shared_ptr<Connection>& conn) {
       try {
         JsonValue request = support::parseJson(line);
         if (const JsonValue* id = request.find("id")) {
-          requestId = static_cast<std::uint32_t>(id->asInt());
+          requestId = jsonIntAs<std::uint32_t>(*id, "id");
         }
         const std::string& op = request.at("op").asString();
         if (op == "shutdown") {
@@ -783,7 +796,7 @@ void VerificationService::executeJson(Task& task) {
           frame.tierPin = tierPinOf(tier->asString());
         }
         if (const JsonValue* threads = request.find("threads")) {
-          frame.threads = static_cast<std::uint32_t>(threads->asInt());
+          frame.threads = jsonIntAs<std::uint32_t>(*threads, "threads");
         }
         if (const JsonValue* path = request.find("path")) {
           frame.labelling = LabellingKind::kPath;
@@ -792,15 +805,15 @@ void VerificationService::executeJson(Task& task) {
           const std::vector<JsonValue>& array = request.at("labels").asArray();
           labels.reserve(array.size());
           for (const JsonValue& label : array) {
-            labels.push_back(static_cast<int>(label.asInt()));
+            labels.push_back(jsonIntAs<int>(label, "labels"));
           }
           frame.labels = labels;
-          frame.n = static_cast<std::uint32_t>(request.at("n").asInt());
+          frame.n = jsonIntAs<std::uint32_t>(request.at("n"), "n");
           if (const JsonValue* dims = request.find("dims")) {
-            frame.dims = static_cast<std::uint32_t>(dims->asInt());
+            frame.dims = jsonIntAs<std::uint32_t>(*dims, "dims");
           }
           if (const JsonValue* batch = request.find("batch")) {
-            frame.batch = static_cast<std::uint32_t>(batch->asInt());
+            frame.batch = jsonIntAs<std::uint32_t>(*batch, "batch");
           }
         }
         const VerifyResultFrame result = runVerify(frame, sheddingNow());

@@ -100,7 +100,7 @@ TEST(LabelPlanes, CyclicShiftsMatchPerBitDefinition) {
     const std::size_t W = bitslice::wordsPerRow(n);
     const std::vector<int> bits = randomLabels(n, 2, 91u * n);
     std::vector<std::uint64_t> src(W, 0), up(W, 0), down(W, 0);
-    bitslice::transposeRow(bits.data(), n, 1, src.data());
+    ASSERT_TRUE(bitslice::transposeRow(bits.data(), n, 1, 2, src.data()));
     bitslice::shiftUpCyclic(src.data(), up.data(), n);
     bitslice::shiftDownCyclic(src.data(), down.data(), n);
     for (int x = 0; x < n; ++x) {
@@ -139,8 +139,10 @@ TEST(PairNetworkBitslice, EvalMatchesPredicateOnRandomStreams) {
       const std::vector<int> hi = randomLabels(n, sigma, rng());
       std::vector<std::uint64_t> loP(net.planes * W, 0);
       std::vector<std::uint64_t> hiP(net.planes * W, 0);
-      bitslice::transposeRow(lo.data(), n, net.planes, loP.data());
-      bitslice::transposeRow(hi.data(), n, net.planes, hiP.data());
+      ASSERT_TRUE(
+          bitslice::transposeRow(lo.data(), n, net.planes, sigma, loP.data()));
+      ASSERT_TRUE(
+          bitslice::transposeRow(hi.data(), n, net.planes, sigma, hiP.data()));
       std::vector<std::uint64_t> out(W, 0);
       net.eval(loP.data(), hiP.data(), W, out.data());
       for (int x = 0; x < n; ++x) {
@@ -229,7 +231,8 @@ TEST(BitsliceVerifierD, DirectLineKernelMatchesTableOnTinySides) {
           lcl.table(), torus, labels.data(), 0, lines, /*stopAtFirst=*/false);
       LabelPlanes planes =
           verifier_detail::bitsliceMakePlanesD(torus, lcl.table());
-      verifier_detail::bitsliceStageLinesD(torus, labels, planes, 0, lines);
+      ASSERT_TRUE(verifier_detail::bitsliceStageLinesD(lcl.sigma(), labels,
+                                                       planes, 0, lines));
       ASSERT_EQ(verifier_detail::bitsliceViolationLinesD(
                     lcl.table(), torus, planes, labels.data(), 0, lines,
                     /*stopAtFirst=*/false),

@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -456,6 +457,36 @@ TEST(ServiceDaemon, JsonDebugMode) {
         "\"" + labelsTail);
     ASSERT_TRUE(malformed.has_value()) << bad;
     EXPECT_NE(support::parseJson(*malformed).find("error"), nullptr) << bad;
+  }
+
+  // An integer that does not fit its field is an error line, never a
+  // wrapped value (4294967297 would verify as label 1, 4294967300 as n = 4);
+  // the connection stays open. The checkerboard itself is feasible.
+  std::vector<long long> checkerboard;
+  for (int y = 0; y < 4; ++y) {
+    for (int x = 0; x < 4; ++x) checkerboard.push_back((x + y) % 2);
+  }
+  const auto labelsJson = [](const std::vector<long long>& labels) {
+    std::string json = "[";
+    for (std::size_t i = 0; i < labels.size(); ++i) {
+      json += (i == 0 ? "" : ",") + std::to_string(labels[i]);
+    }
+    return json + "]";
+  };
+  std::vector<long long> wideLabel = checkerboard;
+  wideLabel[1] = 4294967297LL;  // 2^32 + 1; the checkerboard has 1 there
+  for (const auto& [n, labels] :
+       {std::pair{std::string("4"), wideLabel},
+        std::pair{std::string("4294967300"), checkerboard}}) {
+    const auto rejected = client.request(
+        R"({"op":"verify","id":9,"problem":"vc:4","n":)" + n +
+        R"(,"labels":)" + labelsJson(labels) + "}");
+    ASSERT_TRUE(rejected.has_value()) << n;
+    EXPECT_NE(support::parseJson(*rejected).find("error"), nullptr)
+        << *rejected;
+    const auto alive = client.request(R"({"op":"ping","id":10})");
+    ASSERT_TRUE(alive.has_value()) << n;
+    EXPECT_TRUE(support::parseJson(*alive).at("pong").asBool()) << *alive;
   }
 
   const auto classified =

@@ -6,12 +6,21 @@
 // bodies and the snapshots are empty).
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <cctype>
+#include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "engine/thread_pool.hpp"
+#include "grid/torus2d.hpp"
+#include "lcl/problems.hpp"
+#include "lcl/stream_verify.hpp"
+#include "lcl/verify_api.hpp"
 #include "support/telemetry.hpp"
 
 namespace lclgrid {
@@ -189,6 +198,53 @@ TEST(TelemetrySpan, WorkerThreadsGetDistinctTids) {
   const auto trace = telemetry::snapshotTrace();
   ASSERT_EQ(trace.size(), 2u);
   EXPECT_NE(trace[0].tid, trace[1].tid);
+}
+
+// verify.range_fallbacks answers why the functional tier ran: a count
+// request whose kernel met an out-of-range label (in-core or streamed)
+// bumps it by exactly one, an in-range request leaves it alone.
+TEST(TelemetryCounter, RangeFallbacksCountFunctionalRecounts) {
+  const auto fallbacks = [] {
+    return std::max<std::int64_t>(
+        0, counterValue(telemetry::snapshotMetrics(), "verify.range_fallbacks"));
+  };
+  const int expectedBump = telemetry::kCompiledIn ? 1 : 0;
+  const Torus2D torus(16);
+  const GridLcl problem = problems::vertexColouring(4);
+  std::vector<int> labels(static_cast<std::size_t>(torus.size()));
+  for (int v = 0; v < torus.size(); ++v) {
+    labels[static_cast<std::size_t>(v)] = (v % 16 + 2 * (v / 16)) % 4;
+  }
+  VerifyRequest request;
+  request.problem = &problem;
+  request.torus = &torus;
+  request.labels = labels;
+  request.options.countViolations = true;
+
+  std::int64_t before = fallbacks();
+  EXPECT_EQ(verify(request).violations, 0);
+  EXPECT_EQ(fallbacks() - before, 0);
+
+  labels[37] = problem.sigma();
+  before = fallbacks();
+  const VerifyResult recounted = verify(request);
+  EXPECT_EQ(recounted.tier, VerifyTier::kFunctional);
+  EXPECT_GE(recounted.violations, 1);
+  EXPECT_EQ(fallbacks() - before, expectedBump);
+
+  const char* dir = std::getenv("TMPDIR");
+  const std::string path = std::string(dir != nullptr ? dir : "/tmp") +
+                           "/telemetry_fallback." +
+                           std::to_string(::getpid());
+  writeLabellingFile(path, problem.sigma(), 2, torus.n(), labels);
+  VerifyRequest streamed;
+  streamed.problem = &problem;
+  streamed.labellingPath = path;
+  streamed.options.countViolations = true;
+  before = fallbacks();
+  EXPECT_EQ(verify(streamed).violations, recounted.violations);
+  EXPECT_EQ(fallbacks() - before, expectedBump);
+  std::remove(path.c_str());
 }
 
 // Minimal structural JSON scan: brackets balance outside string literals

@@ -1,13 +1,16 @@
 // The verify(VerifyRequest) front door (lcl/verify_api.hpp): bit-identity
 // of every tier pin, thread count and request shape (single labelling,
 // batch, file) with the serial functional reference, the single-labelling
-// conveniences, tier pinning incl. its error paths, the fingerprint-
-// resolver idiom, the malformed-request diagnostics, and the classify()
-// front door with its cross-call ReportCache.
+// conveniences, tier pinning incl. its error paths, out-of-range labels at
+// every place a kernel slice starts reading, the fingerprint-resolver
+// idiom, the malformed-request diagnostics, and the classify() front door
+// with its cross-call ReportCache.
 #include <unistd.h>
 
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <random>
 #include <string>
 #include <vector>
@@ -18,6 +21,7 @@
 #include "engine/thread_pool.hpp"
 #include "grid/torus2d.hpp"
 #include "grid/torusd.hpp"
+#include "lcl/global_solver.hpp"
 #include "lcl/problems.hpp"
 #include "lcl/stream_verify.hpp"
 #include "lcl/verify_api.hpp"
@@ -120,7 +124,170 @@ void expectEveryPinAndThreadCount(const Torus& torus, const Lcl& problem,
   }
 }
 
+/// Restores the process-wide bit-slice gate on scope exit.
+struct BitsliceGate {
+  const bool saved = bitslice::enabled();
+  ~BitsliceGate() { bitslice::setEnabled(saved); }
+};
+
+/// A feasible labelling of `problem` on the n x n torus (4 | n): a 4 x 4
+/// solution tiled periodically, which keeps every radius-1 constraint.
+std::vector<int> feasibleTiling(const GridLcl& problem, int n) {
+  const Torus2D tile(4);
+  const GlobalSolveResult solved = solveGlobally(tile, problem);
+  EXPECT_TRUE(solved.feasible) << problem.name();
+  const Torus2D torus(n);
+  std::vector<int> labels(static_cast<std::size_t>(torus.size()), 0);
+  if (!solved.feasible) return labels;
+  for (int y = 0; y < n; ++y) {
+    for (int x = 0; x < n; ++x) {
+      labels[static_cast<std::size_t>(torus.id(x, y))] =
+          solved.labels[static_cast<std::size_t>(tile.id(x % 4, y % 4))];
+    }
+  }
+  return labels;
+}
+
+/// Out-of-range values for alphabet sigma: sigma itself, the extremes, and
+/// for non-power-of-two sigma the largest value that still fits the
+/// label's bit-planes (a check of the high bits alone would miss it).
+std::vector<int> outOfRangeValues(int sigma) {
+  std::vector<int> values = {sigma, -1, INT_MIN, INT_MAX};
+  const int inPlane = (1 << bitslice::planeCount(sigma)) - 1;
+  if (inPlane > sigma) values.push_back(inPlane);
+  return values;
+}
+
+/// One out-of-range label at each of `places` (axis-0 rows / lines, with
+/// the column chosen per place) of a feasible labelling: every request
+/// shape at 1/2/8 threads must count exactly what the serial functional
+/// tier counts and call the labelling infeasible. `grain` (rows / lines)
+/// puts shard-chunk boundaries at its multiples; file requests walk slabs
+/// of `window` rows and also resume from a checkpoint at row 2 * window,
+/// alternately in the table and the functional phase.
+template <typename Torus, typename Lcl>
+void expectOutOfRangeEverywhere(const Torus& torus, const Lcl& problem,
+                                const std::vector<int>& feasible,
+                                const std::vector<long long>& places,
+                                std::int64_t grain, long long window) {
+  constexpr int dims = std::is_same_v<Torus, Torus2D> ? 2 : 3;
+  const int n = torus.n();
+  ASSERT_EQ(referenceCount(torus, problem, feasible), 0) << problem.name();
+  std::vector<std::unique_ptr<engine::ThreadPool>> pools;
+  for (int threads : {1, 2, 8}) {
+    pools.push_back(std::make_unique<engine::ThreadPool>(threads));
+  }
+  const std::string path = tempPath("verify_api_range");
+  const std::string checkpointPath = path + ".ckpt";
+  for (int value : outOfRangeValues(problem.sigma())) {
+    for (std::size_t p = 0; p < places.size(); ++p) {
+      const long long line = places[p];
+      std::vector<int> labels = feasible;
+      labels[static_cast<std::size_t>(line * n + (line * 7) % n)] = value;
+      const std::int64_t expect = referenceCount(torus, problem, labels);
+      ASSERT_GE(expect, 1);
+      std::vector<int> batch = feasible;
+      batch.insert(batch.end(), labels.begin(), labels.end());
+      batch.insert(batch.end(), feasible.begin(), feasible.end());
+      writeLabellingFile(path, problem.sigma(), dims, n, labels);
+      const StreamLabelling file(path);
+      // Rows [0, 2 * window) already counted, as a killed pass records.
+      const long long resumeRow = 2 * window;
+      std::int64_t resumeTotal = 0;
+      for (const Violation& violation :
+           listViolations(torus, problem, labels, INT_MAX)) {
+        if (violation.node < resumeRow * n) ++resumeTotal;
+      }
+      const std::string where = problem.name() + " value=" +
+                                std::to_string(value) +
+                                " line=" + std::to_string(line);
+      for (const auto& pool : pools) {
+        const engine::EngineOptions engine{
+            .threads = pool->lanes(), .grain = grain, .pool = pool.get()};
+        const std::string at =
+            where + " threads=" + std::to_string(pool->lanes());
+        const VerifyResult counted =
+            verify(inCoreRequest(torus, problem, labels, true, engine));
+        EXPECT_EQ(counted.violations, expect) << at;
+        EXPECT_EQ(counted.tier, VerifyTier::kFunctional) << at;
+        EXPECT_FALSE(
+            verify(inCoreRequest(torus, problem, labels, false, engine))
+                .feasible)
+            << at;
+        const std::vector<std::int64_t> expectCounts = {0, expect, 0};
+        EXPECT_EQ(batchCounts(torus, problem, batch, engine), expectCounts)
+            << at;
+        const std::vector<std::uint8_t> expectVerdicts = {1, 0, 1};
+        EXPECT_EQ(batchVerdicts(torus, problem, batch, engine), expectVerdicts)
+            << at;
+        StreamWindow slabs;
+        slabs.rows = window;
+        EXPECT_EQ(streamCount(file, problem, slabs, engine), expect) << at;
+        EXPECT_FALSE(streamFeasible(file, problem, slabs, engine)) << at;
+
+        StreamCheckpoint checkpoint;
+        checkpoint.functionalPhase = p % 2 == 1;
+        checkpoint.labellingFingerprint = file.fingerprint();
+        checkpoint.problemFingerprint = problem.table().fingerprint();
+        checkpoint.nextRow = resumeRow;
+        checkpoint.frontier = checkpoint.functionalPhase ? 0 : resumeRow;
+        checkpoint.total = resumeTotal;
+        ASSERT_TRUE(writeStreamCheckpoint(checkpointPath, checkpoint));
+        StreamWindow resumed = slabs;
+        resumed.checkpointPath = checkpointPath;
+        EXPECT_EQ(streamCount(file, problem, resumed, engine), expect)
+            << at << " resumed";
+        removeStreamCheckpoint(checkpointPath);
+      }
+    }
+  }
+  std::remove(path.c_str());
+}
+
 }  // namespace
+
+TEST(VerifyApi, OutOfRangeLabelAtEveryPlacement) {
+  // Rows 0 and n-1 (each other's wrap neighbours), both sides of every
+  // shard-chunk boundary (grain 5 rows), of a slab boundary (4 rows) and
+  // the wrap stash (row 0); 24^2 runs the bit-sliced tier (or the table
+  // tier for mm, sigma = 5), 8^2 sits below the bit-slice floor.
+  const std::vector<GridLcl> registry = {
+      problems::vertexColouring(3), problems::vertexColouring(4),
+      problems::noHorizontalOnePair(), problems::maximalIndependentSet(),
+      problems::maximalMatching()};
+  for (const GridLcl& problem : registry) {
+    expectOutOfRangeEverywhere(
+        Torus2D(24), problem, feasibleTiling(problem, 24),
+        {0, 23, 3, 4, 5, 9, 10, 14, 15, 19, 20}, /*grain=*/5, /*window=*/4);
+  }
+  const GridLcl small = problems::vertexColouring(3);
+  expectOutOfRangeEverywhere(Torus2D(8), small, feasibleTiling(small, 8),
+                             {0, 7, 2, 3, 5, 6}, /*grain=*/3, /*window=*/3);
+}
+
+TEST(VerifyApi, OutOfRangeLabelAtEveryPlacementD) {
+  // vcd:3:3 on 8^3 (64 axis-0 lines, outermost block of 8 lines): lines 0
+  // and 63, the wrap stash (lines 0-7), both sides of every shard-chunk
+  // boundary (grain 10 lines) and of a slab boundary (12 lines) -- on the
+  // staged bit-sliced planes, then with the gate off on the table line
+  // kernel, whose halo check spans one block each way.
+  const TorusD torus(3, 8);
+  const GridLclD problem = problems_d::vertexColouring(3, 3);
+  std::vector<int> feasible(static_cast<std::size_t>(torus.size()));
+  for (long long v = 0; v < torus.size(); ++v) {
+    const std::vector<int> c = torus.coords(v);
+    feasible[static_cast<std::size_t>(v)] = (c[0] + c[1] + c[2]) % 2;
+  }
+  const std::vector<long long> places = {0,  63, 7,  9,  10, 11, 12,
+                                         19, 20, 29, 30, 39, 40, 49,
+                                         50, 59, 60};
+  BitsliceGate gate;
+  for (bool sliced : {true, false}) {
+    bitslice::setEnabled(sliced);
+    expectOutOfRangeEverywhere(torus, problem, feasible, places,
+                               /*grain=*/10, /*window=*/12);
+  }
+}
 
 TEST(VerifyApi, MatchesSerialAndThreadedOverloadsAcrossRegistry) {
   // 8^2 stays below the bit-slice node floor, 17^2 clears it (odd side:
