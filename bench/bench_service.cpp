@@ -45,7 +45,8 @@
 //   --seconds S        measurement window (default 2.0)
 //   --clients N        concurrent client connections (default 4)
 //   --service-threads N  daemon worker threads (default 2)
-//   --engine-threads N   per-request engine thread budget (default 1)
+//   --engine-threads N   lanes of the daemon's shared engine pool; every
+//                        verify frame asks for all of them (default 1)
 //   --trace-out F    enable span tracing, write Chrome trace JSON to F
 //   --metrics-out F  write the telemetry metrics snapshot to F
 #include <algorithm>
@@ -127,6 +128,7 @@ void clientLoop(int port, double seconds, bool soak, int burstSize,
   service::VerifyRequestFrame bySpec;
   bySpec.spec = "vc:4";
   bySpec.countViolations = true;
+  bySpec.threads = 0;  // the daemon's --engine-threads
   bySpec.n = static_cast<std::uint32_t>(n);
   bySpec.labels = labels;
   const auto first = client.verify(bySpec);
@@ -252,6 +254,7 @@ void chaosClientLoop(int port, double seconds, int index, ClientStats* out) {
   service::VerifyRequestFrame bySpec;
   bySpec.spec = "vc:4";
   bySpec.countViolations = true;
+  bySpec.threads = 0;  // the daemon's --engine-threads
   bySpec.n = static_cast<std::uint32_t>(n);
   bySpec.labels = labels;
 
@@ -410,6 +413,7 @@ OverloadPass runOverloadPass(bool shedOn, double seconds, int clients,
   frame.spec = "vc:4";
   frame.countViolations = true;
   frame.allowDegrade = true;
+  frame.threads = 0;  // the daemon's --engine-threads
   frame.n = static_cast<std::uint32_t>(n);
   frame.labels = labels;  // span: `labels` stays alive past the encode
   const std::vector<std::uint8_t> payload =

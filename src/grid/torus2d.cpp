@@ -1,6 +1,7 @@
 #include "grid/torus2d.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 
 namespace lclgrid {
@@ -14,6 +15,9 @@ int mod(int a, int n) {
 
 Torus2D::Torus2D(int n) : n_(n) {
   if (n < 1) throw std::invalid_argument("Torus2D: n must be positive");
+  if (static_cast<long long>(n) * n > std::numeric_limits<int>::max()) {
+    throw std::invalid_argument("Torus2D: n * n must fit in int");
+  }
 }
 
 int Torus2D::id(int x, int y) const { return mod(y, n_) * n_ + mod(x, n_); }

@@ -17,6 +17,7 @@ namespace lclgrid {
 
 class Torus2D {
  public:
+  /// Throws std::invalid_argument unless n >= 1 and n * n fits in int.
   explicit Torus2D(int n);
 
   int n() const { return n_; }

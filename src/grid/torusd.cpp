@@ -1,6 +1,7 @@
 #include "grid/torusd.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 
 namespace lclgrid {
@@ -19,6 +20,9 @@ TorusD::TorusD(int dims, int n) : dims_(dims), n_(n) {
   strides_.resize(dims_);
   for (int i = 0; i < dims_; ++i) {
     strides_[i] = size_;
+    if (size_ > std::numeric_limits<long long>::max() / n_) {
+      throw std::invalid_argument("TorusD: n^dims must fit in long long");
+    }
     size_ *= n_;
   }
 }

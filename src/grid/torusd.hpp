@@ -9,6 +9,8 @@ namespace lclgrid {
 
 class TorusD {
  public:
+  /// Throws std::invalid_argument unless dims >= 1, n >= 1 and n^dims fits
+  /// in long long.
   TorusD(int dims, int n);
 
   int dims() const { return dims_; }

@@ -1,6 +1,7 @@
 #include "service/protocol.hpp"
 
 #include <cstring>
+#include <string>
 
 namespace lclgrid::service {
 
@@ -100,6 +101,19 @@ constexpr std::size_t kClassifyPrefixBytes = 16;
 
 std::size_t padTo4(std::size_t offset) { return (offset + 3) & ~std::size_t{3}; }
 
+/// An enum byte read off the wire; values above `max` are a ProtocolError
+/// rather than silently meaning some other enumerator.
+std::uint8_t readEnum(std::span<const std::uint8_t> payload,
+                      std::size_t& offset, std::uint8_t max,
+                      const char* field) {
+  const std::uint8_t value = wire::readU8(payload, offset);
+  if (value > max) {
+    throw ProtocolError(std::string("protocol: unknown ") + field + " " +
+                        std::to_string(value));
+  }
+  return value;
+}
+
 /// batch * n^dims label words, guarded against overflow; 0 on bad geometry
 /// (the caller turns that into a ProtocolError with context).
 std::uint64_t labelWordsOf(std::uint32_t dims, std::uint32_t n,
@@ -145,11 +159,12 @@ std::vector<std::uint8_t> encodeVerifyRequest(const VerifyRequestFrame& frame) {
 VerifyRequestFrame decodeVerifyRequest(std::span<const std::uint8_t> payload) {
   VerifyRequestFrame frame;
   std::size_t offset = 0;
-  frame.problemRef =
-      static_cast<ProblemRefKind>(wire::readU8(payload, offset));
+  frame.problemRef = static_cast<ProblemRefKind>(
+      readEnum(payload, offset, 1, "problem reference kind"));
   frame.countViolations = wire::readU8(payload, offset) != 0;
-  frame.labelling = static_cast<LabellingKind>(wire::readU8(payload, offset));
-  frame.tierPin = wire::readU8(payload, offset);
+  frame.labelling = static_cast<LabellingKind>(
+      readEnum(payload, offset, 1, "labelling kind"));
+  frame.tierPin = readEnum(payload, offset, 3, "tier pin");
   frame.threads = wire::readU32(payload, offset);
   frame.fingerprint = wire::readU64(payload, offset);
   frame.dims = wire::readU32(payload, offset);
@@ -222,13 +237,17 @@ VerifyResultFrame decodeVerifyResult(std::span<const std::uint8_t> payload) {
   std::size_t offset = 0;
   frame.feasible = wire::readU8(payload, offset) != 0;
   frame.tier = wire::readU8(payload, offset);
-  const std::uint8_t perLabelling = wire::readU8(payload, offset);
+  const std::uint8_t perLabelling =
+      readEnum(payload, offset, 2, "per-labelling kind");
   frame.degraded = (wire::readU8(payload, offset) & 1u) != 0;  // flags
   const std::uint32_t labellings = wire::readU32(payload, offset);
   frame.labellings = labellings;
   frame.violations = wire::readI64(payload, offset);
   frame.fingerprint = wire::readU64(payload, offset);
   frame.nanos = wire::readI64(payload, offset);
+  if (perLabelling == 0 && offset != payload.size()) {
+    throw ProtocolError("protocol: verify result carries trailing bytes");
+  }
   if (perLabelling == 1) {
     if (offset + labellings != payload.size()) {
       throw ProtocolError("protocol: verify result per-labelling mismatch");
@@ -265,8 +284,8 @@ ClassifyRequestFrame decodeClassifyRequest(
     std::span<const std::uint8_t> payload) {
   ClassifyRequestFrame frame;
   std::size_t offset = 0;
-  frame.problemRef =
-      static_cast<ProblemRefKind>(wire::readU8(payload, offset));
+  frame.problemRef = static_cast<ProblemRefKind>(
+      readEnum(payload, offset, 1, "problem reference kind"));
   (void)wire::readU8(payload, offset);
   (void)wire::readU8(payload, offset);
   (void)wire::readU8(payload, offset);

@@ -12,6 +12,11 @@
 //  * Newline JSON (debug): when the first bytes of a connection are not the
 //    magic, every line is one JSON request object and every response one
 //    JSON line -- telnet/netcat-friendly; parsed with support::parseJson.
+//    The daemon translates each line into the binary frame it stands for
+//    (the payloads below, via their encoders) and renders each response
+//    line from the binary response frame, so both framings share one
+//    request path: the same decoder checks, admission, deadlines and
+//    counters.
 //
 // Overload policy: a request arriving while the client already has
 // maxQueuedPerClient requests admitted is answered with an explicit kBusy
@@ -115,8 +120,9 @@ struct VerifyRequestFrame {
 };
 
 std::vector<std::uint8_t> encodeVerifyRequest(const VerifyRequestFrame& frame);
-/// Throws ProtocolError on truncation, length mismatches, or a label
-/// payload that is not exactly batch * n^dims int32 words.
+/// Throws ProtocolError on truncation, length mismatches, an unknown
+/// problemRef / labelling / tierPin byte, or a label payload that is not
+/// exactly batch * n^dims int32 words.
 VerifyRequestFrame decodeVerifyRequest(std::span<const std::uint8_t> payload);
 
 /// Fixed prefix: 32 bytes -- u8 feasible, u8 tier (lclgrid::VerifyTier
@@ -140,6 +146,8 @@ struct VerifyResultFrame {
 };
 
 std::vector<std::uint8_t> encodeVerifyResult(const VerifyResultFrame& frame);
+/// Throws ProtocolError on truncation, an unknown perLabelling byte, or a
+/// payload longer or shorter than its per-labelling array says.
 VerifyResultFrame decodeVerifyResult(std::span<const std::uint8_t> payload);
 
 // --- classify request payload ----------------------------------------------
@@ -156,6 +164,8 @@ struct ClassifyRequestFrame {
 
 std::vector<std::uint8_t> encodeClassifyRequest(
     const ClassifyRequestFrame& frame);
+/// Throws ProtocolError on truncation, an unknown problemRef byte, or a
+/// spec length that does not match the payload.
 ClassifyRequestFrame decodeClassifyRequest(
     std::span<const std::uint8_t> payload);
 

@@ -19,6 +19,8 @@
 #include "lcl/verify_api.hpp"
 #include "service/problem_registry.hpp"
 #include "support/faultpoint.hpp"
+#include "support/json.hpp"
+#include "support/telemetry.hpp"
 
 namespace lclgrid::service {
 
@@ -141,13 +143,152 @@ std::uint64_t fingerprintOf(const JsonValue& value) {
   return std::stoull(text.substr(2), nullptr, 16);
 }
 
-std::string jsonErrorLine(std::uint32_t requestId, std::string_view message) {
+/// A JSON request's problem: "fingerprint" when present, else "problem".
+template <typename Frame>
+void readProblemRef(const JsonValue& request, Frame& frame) {
+  if (const JsonValue* fingerprint = request.find("fingerprint")) {
+    frame.problemRef = ProblemRefKind::kFingerprint;
+    frame.fingerprint = fingerprintOf(*fingerprint);
+  } else {
+    frame.spec = request.at("problem").asString();
+  }
+}
+
+/// Translates a JSON debug request into the frame a binary client would
+/// have sent: fills `payload` and returns the frame type. From here on the
+/// request takes the binary path, decoder checks included. Throws on a
+/// missing, ill-typed or out-of-range field.
+wire::FrameType frameOfJson(const JsonValue& request,
+                            std::vector<std::uint8_t>& payload) {
+  const std::string& op = request.at("op").asString();
+  if (op == "ping") return wire::FrameType::kPing;
+  if (op == "stats") return wire::FrameType::kStats;
+  if (op == "shutdown") return wire::FrameType::kShutdown;
+  if (op == "sleep") {
+    const JsonValue* millis = request.find("ms");
+    wire::appendU32(payload,
+                    millis ? jsonIntAs<std::uint32_t>(*millis, "ms") : 0);
+    return wire::FrameType::kSleep;
+  }
+  if (op == "classify") {
+    ClassifyRequestFrame frame;
+    readProblemRef(request, frame);
+    payload = encodeClassifyRequest(frame);
+    return wire::FrameType::kClassify;
+  }
+  if (op != "verify") {
+    throw std::invalid_argument("service: unknown op \"" + op + "\"");
+  }
+  VerifyRequestFrame frame;
+  std::vector<int> labels;  // owns what the frame's span views
+  readProblemRef(request, frame);
+  if (const JsonValue* count = request.find("count")) {
+    frame.countViolations = count->asBool();
+  }
+  if (const JsonValue* degrade = request.find("allow_degrade")) {
+    frame.allowDegrade = degrade->asBool();
+  }
+  if (const JsonValue* tier = request.find("tier")) {
+    frame.tierPin = tierPinOf(tier->asString());
+  }
+  if (const JsonValue* threads = request.find("threads")) {
+    frame.threads = jsonIntAs<std::uint32_t>(*threads, "threads");
+  }
+  if (const JsonValue* path = request.find("path")) {
+    frame.labelling = LabellingKind::kPath;
+    frame.path = path->asString();
+  } else {
+    const std::vector<JsonValue>& array = request.at("labels").asArray();
+    labels.reserve(array.size());
+    for (const JsonValue& label : array) {
+      labels.push_back(jsonIntAs<int>(label, "labels"));
+    }
+    frame.labels = labels;
+    frame.n = jsonIntAs<std::uint32_t>(request.at("n"), "n");
+    if (const JsonValue* dims = request.find("dims")) {
+      frame.dims = jsonIntAs<std::uint32_t>(*dims, "dims");
+    }
+    if (const JsonValue* batch = request.find("batch")) {
+      frame.batch = jsonIntAs<std::uint32_t>(*batch, "batch");
+    }
+  }
+  payload = encodeVerifyRequest(frame);
+  return wire::FrameType::kVerify;
+}
+
+/// The JSON debug line answering a request: rendered from the response
+/// frame a binary client would have received.
+std::string jsonLineOf(wire::FrameType type, std::uint32_t requestId,
+                       std::span<const std::uint8_t> payload) {
+  const std::string_view text(reinterpret_cast<const char*>(payload.data()),
+                              payload.size());
+  if (type == wire::FrameType::kClassifyResult ||
+      type == wire::FrameType::kStatsResult) {
+    // The payload is a JSON document already; nest it verbatim.
+    const char* key =
+        type == wire::FrameType::kStatsResult ? "stats" : "classification";
+    return "{\"id\":" + std::to_string(requestId) + ",\"ok\":true,\"" + key +
+           "\":" + std::string(text) + "}";
+  }
   JsonWriter json;
   json.beginObject();
   json.key("id").value(static_cast<long long>(requestId));
-  json.key("error").value(message);
+  switch (type) {
+    case wire::FrameType::kBusy:
+      json.key("busy").value(true);
+      break;
+    case wire::FrameType::kTimeout:
+      json.key("timeout").value(true);
+      break;
+    case wire::FrameType::kError:
+      json.key("error").value(text);
+      break;
+    case wire::FrameType::kShutdownAck:
+      json.key("ok").value(true);
+      json.key("shutdown").value(true);
+      break;
+    case wire::FrameType::kVerifyResult: {
+      const VerifyResultFrame result = decodeVerifyResult(payload);
+      json.key("ok").value(true);
+      json.key("feasible").value(result.feasible);
+      if (result.degraded) json.key("degraded").value(true);
+      json.key("violations").value(static_cast<long long>(result.violations));
+      json.key("labellings").value(static_cast<long long>(result.labellings));
+      json.key("tier").value(
+          verifyTierName(static_cast<VerifyTier>(result.tier)));
+      json.key("fingerprint").value(JsonWriter::hex(result.fingerprint));
+      json.key("nanos").value(static_cast<long long>(result.nanos));
+      if (!result.feasiblePerLabelling.empty()) {
+        json.key("feasible_per_labelling").beginArray();
+        for (std::uint8_t feasible : result.feasiblePerLabelling) {
+          json.value(feasible != 0);
+        }
+        json.endArray();
+      }
+      if (!result.violationsPerLabelling.empty()) {
+        json.key("violations_per_labelling").beginArray();
+        for (std::int64_t violations : result.violationsPerLabelling) {
+          json.value(static_cast<long long>(violations));
+        }
+        json.endArray();
+      }
+      break;
+    }
+    default:  // kPong
+      json.key("ok").value(true);
+      json.key("pong").value(true);
+      break;
+  }
   json.endObject();
   return json.str();
+}
+
+std::span<const std::uint8_t> bytesOf(std::string_view text) {
+  return {reinterpret_cast<const std::uint8_t*>(text.data()), text.size()};
+}
+
+void bump(std::atomic<std::int64_t>& counter) {
+  counter.fetch_add(1, std::memory_order_relaxed);
 }
 
 }  // namespace
@@ -210,16 +351,11 @@ support::LruStats VerificationService::ProblemCache::stats() const {
 
 VerificationService::VerificationService(ServiceConfig config)
     : config_(std::move(config)),
+      enginePool_(std::max(1, config_.engineThreads)),
       problems_(config_.problemCacheCapacity),
-      reports_(config_.reportCacheCapacity, "service.report_cache"),
-      requestCounter_(telemetry::counter("service.requests")),
-      busyCounter_(telemetry::counter("service.busy")),
-      errorCounter_(telemetry::counter("service.errors")),
-      timeoutCounter_(telemetry::counter("service.timeouts")),
-      shedCounter_(telemetry::counter("service.shed")),
-      queueGauge_(telemetry::gauge("service.queue_depth")) {
+      reports_(config_.reportCacheCapacity, "service.report_cache") {
   config_.serviceThreads = std::max(1, config_.serviceThreads);
-  config_.engineThreads = std::max(1, config_.engineThreads);
+  config_.engineThreads = enginePool_.lanes();
   config_.maxQueuedPerClient = std::max(1, config_.maxQueuedPerClient);
   config_.maxConnections = std::max(1, config_.maxConnections);
   shedThreshold_ = config_.shedQueueDepth > 0 ? config_.shedQueueDepth
@@ -413,22 +549,17 @@ void VerificationService::acceptLoop() {
       if (fault.action == fp::Action::kErrno ||
           fault.action == fp::Action::kDrop) {
         ::close(fd);
-        std::lock_guard lock(countersMutex_);
-        ++counters_.connectionsRejected;
+        bump(counters_.connectionsRejected);
         continue;
       }
     }
     if (liveConnections_.fetch_add(1) >= config_.maxConnections) {
       liveConnections_.fetch_sub(1);
       ::close(fd);
-      std::lock_guard lock(countersMutex_);
-      ++counters_.connectionsRejected;
+      bump(counters_.connectionsRejected);
       continue;
     }
-    {
-      std::lock_guard lock(countersMutex_);
-      ++counters_.connectionsAccepted;
-    }
+    bump(counters_.connectionsAccepted);
     if (config_.sendTimeoutMs > 0) {
       // Bounds a worker blocked in send() against a wedged peer; a timed
       // out response write is absorbed like a disconnect.
@@ -493,11 +624,6 @@ void VerificationService::binaryLoop(const std::shared_ptr<Connection>& conn) {
     if (!readFully(conn->fd, task.payload.data(), task.payload.size())) {
       return;  // disconnect mid-frame
     }
-    if (frame.type == wire::FrameType::kShutdown) {
-      sendFrame(*conn, wire::FrameType::kShutdownAck, frame.requestId, {});
-      requestShutdown();
-      continue;
-    }
     task.conn = conn;
     task.type = frame.type;
     task.requestId = frame.requestId;
@@ -514,49 +640,22 @@ void VerificationService::jsonLoop(const std::shared_ptr<Connection>& conn) {
       std::string line = buffer.substr(0, newline);
       buffer.erase(0, newline + 1);
       if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-      std::uint32_t requestId = 0;
+      Task task;
+      task.conn = conn;
       try {
-        JsonValue request = support::parseJson(line);
+        const JsonValue request = support::parseJson(line);
         if (const JsonValue* id = request.find("id")) {
-          requestId = jsonIntAs<std::uint32_t>(*id, "id");
+          task.requestId = jsonIntAs<std::uint32_t>(*id, "id");
         }
-        const std::string& op = request.at("op").asString();
-        if (op == "shutdown") {
-          JsonWriter ack;
-          ack.beginObject();
-          ack.key("id").value(static_cast<long long>(requestId));
-          ack.key("ok").value(true);
-          ack.key("shutdown").value(true);
-          ack.endObject();
-          sendJsonLine(*conn, ack.str());
-          requestShutdown();
-          continue;
-        }
-        Task task;
-        task.conn = conn;
-        task.json = true;
-        task.requestId = requestId;
-        if (op == "ping") {
-          task.type = wire::FrameType::kPing;
-        } else if (op == "verify") {
-          task.type = wire::FrameType::kVerify;
-        } else if (op == "classify") {
-          task.type = wire::FrameType::kClassify;
-        } else if (op == "stats") {
-          task.type = wire::FrameType::kStats;
-        } else if (op == "sleep") {
-          task.type = wire::FrameType::kSleep;
-        } else {
-          throw std::invalid_argument("service: unknown op \"" + op + "\"");
-        }
-        task.jsonRequest = std::move(request);
-        admit(std::move(task));
+        task.type = frameOfJson(request, task.payload);
       } catch (const std::exception& error) {
-        sendJsonLine(*conn, jsonErrorLine(requestId, error.what()));
+        sendError(*conn, task.requestId, error.what());
+        continue;
       }
+      admit(std::move(task));
     }
     if (buffer.size() > config_.maxPayloadBytes) {
-      sendJsonLine(*conn, jsonErrorLine(0, "service: request line too long"));
+      sendError(*conn, 0, "service: request line too long");
       return;
     }
     ssize_t got = ::recv(conn->fd, chunk, sizeof(chunk), 0);
@@ -566,8 +665,13 @@ void VerificationService::jsonLoop(const std::shared_ptr<Connection>& conn) {
   }
 }
 
-bool VerificationService::admit(Task task) {
+void VerificationService::admit(Task task) {
   Connection& conn = *task.conn;
+  if (task.type == wire::FrameType::kShutdown) {
+    respond(conn, wire::FrameType::kShutdownAck, task.requestId, {});
+    requestShutdown();
+    return;
+  }
   // Shed mode halves the per-client budget: a client holding half its
   // normal allotment already contributes its fair share of an overloaded
   // queue. Draining means stop() is waiting for the queue to empty -- every
@@ -580,47 +684,29 @@ bool VerificationService::admit(Task task) {
                         : config_.maxQueuedPerClient);
   // Only this connection's reader increments, so load-then-add is not a
   // race against other admissions for the same client.
-  if (conn.inflight.load(std::memory_order_acquire) >= budget) {
-    {
-      std::lock_guard lock(countersMutex_);
-      ++counters_.busyRejections;
-      if (shedBudget &&
-          conn.inflight.load(std::memory_order_relaxed) <
-              config_.maxQueuedPerClient) {
-        // Would have been admitted under the full budget: this rejection
-        // is attributable to shedding, not the client's own backlog.
-        ++counters_.shedAdmission;
-      }
+  const int inflight = conn.inflight.load(std::memory_order_acquire);
+  if (inflight >= budget) {
+    bump(counters_.busyRejections);
+    if (shedBudget && inflight < config_.maxQueuedPerClient) {
+      // Would have been admitted under the full budget: this rejection is
+      // attributable to shedding, not the client's own backlog.
+      bump(counters_.shedAdmission);
     }
-    busyCounter_.increment();
-    if (task.json) {
-      JsonWriter busy;
-      busy.beginObject();
-      busy.key("id").value(static_cast<long long>(task.requestId));
-      busy.key("busy").value(true);
-      busy.endObject();
-      sendJsonLine(conn, busy.str());
-    } else {
-      sendFrame(conn, wire::FrameType::kBusy, task.requestId, {});
-    }
-    return true;
+    respond(conn, wire::FrameType::kBusy, task.requestId, {});
+    return;
   }
   conn.inflight.fetch_add(1, std::memory_order_acq_rel);
   task.admitted = std::chrono::steady_clock::now();
-  std::size_t depth;
   {
     std::lock_guard lock(queueMutex_);
     queue_.push_back(std::move(task));
-    depth = queue_.size();
-    queueDepthAtomic_.store(static_cast<std::int64_t>(depth),
-                            std::memory_order_relaxed);
+    const auto depth = static_cast<std::int64_t>(queue_.size());
+    queueDepthAtomic_.store(depth, std::memory_order_relaxed);
+    if (depth > counters_.queuePeakDepth.load(std::memory_order_relaxed)) {
+      counters_.queuePeakDepth.store(depth, std::memory_order_relaxed);
+    }
   }
   queueCv_.notify_one();
-  queueGauge_.set(static_cast<std::int64_t>(depth));
-  std::lock_guard lock(countersMutex_);
-  counters_.queuePeakDepth =
-      std::max(counters_.queuePeakDepth, static_cast<std::int64_t>(depth));
-  return true;
 }
 
 // --- worker side ------------------------------------------------------------
@@ -640,9 +726,8 @@ void VerificationService::workerLoop() {
       }
       task = std::move(queue_.front());
       queue_.pop_front();
-      const auto depth = static_cast<std::int64_t>(queue_.size());
-      queueDepthAtomic_.store(depth, std::memory_order_relaxed);
-      queueGauge_.set(depth);
+      queueDepthAtomic_.store(static_cast<std::int64_t>(queue_.size()),
+                              std::memory_order_relaxed);
       // Incremented under the queue lock so stop()'s drain wait can never
       // observe queue == 0 && executing == 0 while a popped task is still
       // between the pop and its execution.
@@ -657,14 +742,11 @@ void VerificationService::workerLoop() {
         std::chrono::steady_clock::now() - task.admitted >=
             std::chrono::milliseconds(config_.requestDeadlineMs);
     if (cancelled || expired) {
-      sendTimeout(task);
+      bump(counters_.timeouts);
+      respond(*task.conn, wire::FrameType::kTimeout, task.requestId, {});
     } else {
       (void)FAULT_POINT("service.dispatch");
-      if (task.json) {
-        executeJson(task);
-      } else {
-        execute(task);
-      }
+      execute(task);
     }
     executing_.fetch_sub(1, std::memory_order_relaxed);
     Connection& conn = *task.conn;
@@ -677,17 +759,13 @@ void VerificationService::workerLoop() {
 
 void VerificationService::execute(Task& task) {
   Connection& conn = *task.conn;
-  requestCounter_.increment();
-  {
-    std::lock_guard lock(countersMutex_);
-    ++counters_.requests;
-    if (task.type == wire::FrameType::kVerify) ++counters_.verifyRequests;
-    if (task.type == wire::FrameType::kClassify) ++counters_.classifyRequests;
-  }
+  bump(counters_.requests);
+  if (task.type == wire::FrameType::kVerify) bump(counters_.verifyRequests);
+  if (task.type == wire::FrameType::kClassify) bump(counters_.classifyRequests);
   try {
     switch (task.type) {
       case wire::FrameType::kPing:
-        sendFrame(conn, wire::FrameType::kPong, task.requestId, {});
+        respond(conn, wire::FrameType::kPong, task.requestId, {});
         break;
       case wire::FrameType::kSleep: {
         if (!config_.enableTestOps) {
@@ -697,188 +775,35 @@ void VerificationService::execute(Task& task) {
         std::size_t offset = 0;
         const std::uint32_t millis = wire::readU32(task.payload, offset);
         std::this_thread::sleep_for(std::chrono::milliseconds(millis));
-        sendFrame(conn, wire::FrameType::kPong, task.requestId, {});
+        respond(conn, wire::FrameType::kPong, task.requestId, {});
         break;
       }
       case wire::FrameType::kVerify: {
         const VerifyRequestFrame request = decodeVerifyRequest(task.payload);
         const VerifyResultFrame result = runVerify(request, sheddingNow());
         const std::vector<std::uint8_t> payload = encodeVerifyResult(result);
-        sendFrame(conn, wire::FrameType::kVerifyResult, task.requestId,
-                  payload);
+        respond(conn, wire::FrameType::kVerifyResult, task.requestId, payload);
         break;
       }
       case wire::FrameType::kClassify: {
         const ClassifyRequestFrame request =
             decodeClassifyRequest(task.payload);
         const std::string json = runClassify(request);
-        sendFrame(conn, wire::FrameType::kClassifyResult, task.requestId,
-                  {reinterpret_cast<const std::uint8_t*>(json.data()),
-                   json.size()});
+        respond(conn, wire::FrameType::kClassifyResult, task.requestId,
+                bytesOf(json));
         break;
       }
       case wire::FrameType::kStats: {
         const std::string json = statsJson();
-        sendFrame(conn, wire::FrameType::kStatsResult, task.requestId,
-                  {reinterpret_cast<const std::uint8_t*>(json.data()),
-                   json.size()});
+        respond(conn, wire::FrameType::kStatsResult, task.requestId,
+                bytesOf(json));
         break;
       }
       default:
         throw std::invalid_argument("service: unknown request frame type");
     }
   } catch (const std::exception& error) {
-    {
-      std::lock_guard lock(countersMutex_);
-      ++counters_.errors;
-    }
-    errorCounter_.increment();
     sendError(conn, task.requestId, error.what());
-  }
-}
-
-void VerificationService::executeJson(Task& task) {
-  Connection& conn = *task.conn;
-  requestCounter_.increment();
-  {
-    std::lock_guard lock(countersMutex_);
-    ++counters_.requests;
-    if (task.type == wire::FrameType::kVerify) ++counters_.verifyRequests;
-    if (task.type == wire::FrameType::kClassify) ++counters_.classifyRequests;
-  }
-  const JsonValue& request = task.jsonRequest;
-  const long long id = task.requestId;
-  try {
-    switch (task.type) {
-      case wire::FrameType::kPing: {
-        JsonWriter json;
-        json.beginObject();
-        json.key("id").value(id);
-        json.key("ok").value(true);
-        json.key("pong").value(true);
-        json.endObject();
-        sendJsonLine(conn, json.str());
-        break;
-      }
-      case wire::FrameType::kSleep: {
-        if (!config_.enableTestOps) {
-          throw std::invalid_argument(
-              "service: sleep is a test-only operation");
-        }
-        const JsonValue* millis = request.find("ms");
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(millis ? millis->asInt() : 0));
-        JsonWriter json;
-        json.beginObject();
-        json.key("id").value(id);
-        json.key("ok").value(true);
-        json.key("pong").value(true);
-        json.endObject();
-        sendJsonLine(conn, json.str());
-        break;
-      }
-      case wire::FrameType::kVerify: {
-        VerifyRequestFrame frame;
-        std::vector<int> labels;  // owns what the frame's span views
-        if (const JsonValue* fingerprint = request.find("fingerprint")) {
-          frame.problemRef = ProblemRefKind::kFingerprint;
-          frame.fingerprint = fingerprintOf(*fingerprint);
-        } else {
-          frame.spec = request.at("problem").asString();
-        }
-        if (const JsonValue* count = request.find("count")) {
-          frame.countViolations = count->asBool();
-        }
-        if (const JsonValue* degrade = request.find("allow_degrade")) {
-          frame.allowDegrade = degrade->asBool();
-        }
-        if (const JsonValue* tier = request.find("tier")) {
-          frame.tierPin = tierPinOf(tier->asString());
-        }
-        if (const JsonValue* threads = request.find("threads")) {
-          frame.threads = jsonIntAs<std::uint32_t>(*threads, "threads");
-        }
-        if (const JsonValue* path = request.find("path")) {
-          frame.labelling = LabellingKind::kPath;
-          frame.path = path->asString();
-        } else {
-          const std::vector<JsonValue>& array = request.at("labels").asArray();
-          labels.reserve(array.size());
-          for (const JsonValue& label : array) {
-            labels.push_back(jsonIntAs<int>(label, "labels"));
-          }
-          frame.labels = labels;
-          frame.n = jsonIntAs<std::uint32_t>(request.at("n"), "n");
-          if (const JsonValue* dims = request.find("dims")) {
-            frame.dims = jsonIntAs<std::uint32_t>(*dims, "dims");
-          }
-          if (const JsonValue* batch = request.find("batch")) {
-            frame.batch = jsonIntAs<std::uint32_t>(*batch, "batch");
-          }
-        }
-        const VerifyResultFrame result = runVerify(frame, sheddingNow());
-        JsonWriter json;
-        json.beginObject();
-        json.key("id").value(id);
-        json.key("ok").value(true);
-        json.key("feasible").value(result.feasible);
-        if (result.degraded) {
-          json.key("degraded").value(true);
-        }
-        json.key("violations").value(
-            static_cast<long long>(result.violations));
-        json.key("labellings").value(
-            static_cast<long long>(result.labellings));
-        json.key("tier").value(
-            verifyTierName(static_cast<VerifyTier>(result.tier)));
-        json.key("fingerprint").value(JsonWriter::hex(result.fingerprint));
-        json.key("nanos").value(static_cast<long long>(result.nanos));
-        if (!result.feasiblePerLabelling.empty()) {
-          json.key("feasible_per_labelling").beginArray();
-          for (std::uint8_t feasible : result.feasiblePerLabelling) {
-            json.value(feasible != 0);
-          }
-          json.endArray();
-        }
-        if (!result.violationsPerLabelling.empty()) {
-          json.key("violations_per_labelling").beginArray();
-          for (std::int64_t violations : result.violationsPerLabelling) {
-            json.value(static_cast<long long>(violations));
-          }
-          json.endArray();
-        }
-        json.endObject();
-        sendJsonLine(conn, json.str());
-        break;
-      }
-      case wire::FrameType::kClassify: {
-        ClassifyRequestFrame frame;
-        if (const JsonValue* fingerprint = request.find("fingerprint")) {
-          frame.problemRef = ProblemRefKind::kFingerprint;
-          frame.fingerprint = fingerprintOf(*fingerprint);
-        } else {
-          frame.spec = request.at("problem").asString();
-        }
-        const std::string classification = runClassify(frame);
-        sendJsonLine(conn, "{\"id\":" + std::to_string(id) +
-                               ",\"ok\":true,\"classification\":" +
-                               classification + "}");
-        break;
-      }
-      case wire::FrameType::kStats:
-        sendJsonLine(conn, "{\"id\":" + std::to_string(id) +
-                               ",\"ok\":true,\"stats\":" + statsJson() + "}");
-        break;
-      default:
-        throw std::invalid_argument("service: unknown request type");
-    }
-  } catch (const std::exception& error) {
-    {
-      std::lock_guard lock(countersMutex_);
-      ++counters_.errors;
-    }
-    errorCounter_.increment();
-    sendJsonLine(conn, jsonErrorLine(task.requestId, error.what()));
   }
 }
 
@@ -888,25 +813,6 @@ bool VerificationService::sheddingNow() const {
   return config_.shedEnabled &&
          queueDepthAtomic_.load(std::memory_order_relaxed) >=
              static_cast<std::int64_t>(shedThreshold_);
-}
-
-void VerificationService::sendTimeout(Task& task) {
-  {
-    std::lock_guard lock(countersMutex_);
-    ++counters_.timeouts;
-  }
-  timeoutCounter_.increment();
-  Connection& conn = *task.conn;
-  if (task.json) {
-    JsonWriter json;
-    json.beginObject();
-    json.key("id").value(static_cast<long long>(task.requestId));
-    json.key("timeout").value(true);
-    json.endObject();
-    sendJsonLine(conn, json.str());
-  } else {
-    sendFrame(conn, wire::FrameType::kTimeout, task.requestId, {});
-  }
 }
 
 VerifyResultFrame VerificationService::runVerify(
@@ -934,9 +840,6 @@ VerifyResultFrame VerificationService::runVerify(
     held = problems_.bySpec(frame.spec);
     request.problem = held.get();
   }
-  if (frame.tierPin > 3) {
-    throw std::invalid_argument("service: unknown tier pin");
-  }
   request.options.tier = static_cast<TierPin>(frame.tierPin);
   request.options.countViolations = frame.countViolations;
   // Graceful degradation: under shed pressure a countViolations request
@@ -946,19 +849,19 @@ VerifyResultFrame VerificationService::runVerify(
   if (shedActive && frame.allowDegrade && frame.countViolations) {
     request.options.countViolations = false;
     degraded = true;
-    {
-      std::lock_guard lock(countersMutex_);
-      ++counters_.shedDowngrades;
-    }
-    shedCounter_.increment();
+    bump(counters_.shedDowngrades);
   }
-  // Per-request parallelism is capped by the daemon's engineThreads budget
-  // (0 on the wire asks for the daemon default).
-  const int askedThreads =
-      frame.threads == 0 ? config_.engineThreads
-                         : static_cast<int>(frame.threads);
-  request.options.engine.threads =
-      std::clamp(askedThreads, 1, config_.engineThreads);
+  // Lanes: 0 on the wire asks for the daemon default, anything else is
+  // capped at engineThreads. A multi-lane request runs on the shared pool;
+  // a one-lane request runs serially on this worker.
+  const int lanes =
+      frame.threads == 0
+          ? config_.engineThreads
+          : static_cast<int>(std::min(
+                frame.threads,
+                static_cast<std::uint32_t>(config_.engineThreads)));
+  request.options.engine.threads = lanes;
+  if (lanes > 1) request.options.engine.pool = &enginePool_;
 
   std::optional<Torus2D> torus;
   std::optional<TorusD> torusD;
@@ -1043,15 +946,22 @@ std::string VerificationService::runClassify(
 // --- stats ------------------------------------------------------------------
 
 ServiceCounters VerificationService::counters() const {
-  ServiceCounters counters;
-  {
-    std::lock_guard lock(countersMutex_);
-    counters = counters_;
-  }
-  // The queue depth has one writer-side home, the queue's own atomic; the
-  // mutex-guarded copy would race the workers' pops.
-  counters.queueDepth = queueDepthAtomic_.load(std::memory_order_relaxed);
-  return counters;
+  const auto read = [](const std::atomic<std::int64_t>& counter) {
+    return counter.load(std::memory_order_relaxed);
+  };
+  const LiveCounters& c = counters_;
+  return {.requests = read(c.requests),
+          .verifyRequests = read(c.verifyRequests),
+          .classifyRequests = read(c.classifyRequests),
+          .busyRejections = read(c.busyRejections),
+          .errors = read(c.errors),
+          .connectionsAccepted = read(c.connectionsAccepted),
+          .connectionsRejected = read(c.connectionsRejected),
+          .queueDepth = read(queueDepthAtomic_),
+          .queuePeakDepth = read(c.queuePeakDepth),
+          .timeouts = read(c.timeouts),
+          .shedDowngrades = read(c.shedDowngrades),
+          .shedAdmission = read(c.shedAdmission)};
 }
 
 std::string VerificationService::statsJson() const {
@@ -1101,33 +1011,29 @@ std::string VerificationService::statsJson() const {
 
 // --- response writers -------------------------------------------------------
 
-void VerificationService::sendFrame(Connection& conn, wire::FrameType type,
-                                    std::uint32_t requestId,
-                                    std::span<const std::uint8_t> payload) {
-  std::vector<std::uint8_t> frame;
-  frame.reserve(wire::kHeaderBytes + payload.size());
-  wire::appendHeader(frame, type, requestId,
-                     static_cast<std::uint32_t>(payload.size()));
-  frame.insert(frame.end(), payload.begin(), payload.end());
+void VerificationService::respond(Connection& conn, wire::FrameType type,
+                                  std::uint32_t requestId,
+                                  std::span<const std::uint8_t> payload) {
+  std::vector<std::uint8_t> bytes;
+  if (conn.jsonMode) {
+    const std::string line = jsonLineOf(type, requestId, payload);
+    bytes.assign(line.begin(), line.end());
+    bytes.push_back('\n');
+  } else {
+    bytes.reserve(wire::kHeaderBytes + payload.size());
+    wire::appendHeader(bytes, type, requestId,
+                       static_cast<std::uint32_t>(payload.size()));
+    bytes.insert(bytes.end(), payload.begin(), payload.end());
+  }
   std::lock_guard lock(conn.writeMutex);
   if (conn.fd < 0) return;
-  writeFully(conn.fd, frame.data(), frame.size());
+  writeFully(conn.fd, bytes.data(), bytes.size());
 }
 
 void VerificationService::sendError(Connection& conn, std::uint32_t requestId,
                                     const std::string& message) {
-  sendFrame(conn, wire::FrameType::kError, requestId,
-            {reinterpret_cast<const std::uint8_t*>(message.data()),
-             message.size()});
-}
-
-void VerificationService::sendJsonLine(Connection& conn,
-                                       const std::string& line) {
-  std::string out = line;
-  out.push_back('\n');
-  std::lock_guard lock(conn.writeMutex);
-  if (conn.fd < 0) return;
-  writeFully(conn.fd, out.data(), out.size());
+  bump(counters_.errors);
+  respond(conn, wire::FrameType::kError, requestId, bytesOf(message));
 }
 
 }  // namespace lclgrid::service

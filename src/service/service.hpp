@@ -10,13 +10,16 @@
 //
 //  * an acceptor thread listens on a Unix socket or TCP loopback and spawns
 //    one reader thread per connection (bounded by maxConnections);
-//  * readers parse frames (binary or newline-JSON debug mode, detected on
-//    the first bytes of the connection) and admit requests into a central
-//    queue, bounding each client to maxQueuedPerClient admitted requests --
-//    an over-limit request is answered with an explicit kBusy frame and not
-//    executed, never silently dropped;
+//  * readers turn every request into one (type, request id, payload) task
+//    -- a binary frame as read, or a newline-JSON debug line translated
+//    into the frame it stands for (the framing is detected on the first
+//    bytes of the connection) -- and admit it into a central queue,
+//    bounding each client to maxQueuedPerClient admitted requests: an
+//    over-limit request is answered kBusy and not executed, never dropped;
 //  * serviceThreads worker threads drain the queue and execute requests
 //    through the front doors verify(VerifyRequest) and engine::classify();
+//  * one writer sends every response: the frame, or on a JSON connection
+//    the line rendered from it;
 //  * problems resolve through a fingerprint-indexed LRU cache of compiled
 //    problems (spec -> GridLcl/GridLclD, fingerprint -> GridLcl) and oracle
 //    reports reuse an engine::ReportCache, both capacity-bounded;
@@ -24,11 +27,11 @@
 //    region of the receive buffer is spanned directly into
 //    VerifyRequest::labels (the wire layout 4-byte-aligns it).
 //
-// The engine pool: requests execute with EngineOptions::threads ==
-// config.engineThreads. The default 1 runs each request serially on its
-// worker -- the daemon's parallelism is across requests (serviceThreads),
-// which is the high-QPS regime. engineThreads > 1 parallelises single
-// large requests instead, at a private-pool setup cost per request.
+// The engine pool: one engine::ThreadPool of config.engineThreads lanes,
+// built with the daemon and shared by every request that runs on more than
+// one lane; a one-lane request runs serially on its worker. The default 1
+// keeps the daemon's parallelism across requests (serviceThreads), the
+// high-QPS regime; engineThreads > 1 parallelises single large requests.
 #pragma once
 
 #include <atomic>
@@ -44,12 +47,11 @@
 #include <vector>
 
 #include "engine/family_sweep.hpp"
+#include "engine/thread_pool.hpp"
 #include "lcl/grid_lcl.hpp"
 #include "lcl/grid_lcl_d.hpp"
 #include "service/protocol.hpp"
-#include "support/json.hpp"
 #include "support/lru_cache.hpp"
-#include "support/telemetry.hpp"
 
 namespace lclgrid::service {
 
@@ -60,7 +62,7 @@ struct ServiceConfig {
   int tcpPort = 0;
   /// Worker threads executing requests (>= 1).
   int serviceThreads = 2;
-  /// EngineOptions::threads per request (see the header comment).
+  /// Lanes of the shared engine pool; caps a request's wire `threads`.
   int engineThreads = 1;
   /// Admitted (queued + executing) requests per client before kBusy.
   int maxQueuedPerClient = 8;
@@ -97,12 +99,14 @@ struct ServiceConfig {
 };
 
 /// Point-in-time service counters (plain values, available regardless of
-/// whether telemetry is compiled in; also exported in the stats frame).
+/// whether telemetry is compiled in). counters() and the stats frame's
+/// "service" object are their only exporters.
 struct ServiceCounters {
   std::int64_t requests = 0;
   std::int64_t verifyRequests = 0;
   std::int64_t classifyRequests = 0;
   std::int64_t busyRejections = 0;
+  /// Every kError (or JSON error line) written, framing errors included.
   std::int64_t errors = 0;
   std::int64_t connectionsAccepted = 0;
   std::int64_t connectionsRejected = 0;
@@ -159,17 +163,23 @@ class VerificationService {
     /// later -- responses to a disconnected client must not write a
     /// recycled descriptor).
     std::atomic<bool> closeRequested{false};
-    bool jsonMode = false;
+    bool jsonMode = false;  // responses are rendered as JSON lines
   };
+  /// One request, whichever framing it arrived in.
   struct Task {
     std::shared_ptr<Connection> conn;
     wire::FrameType type = wire::FrameType::kPing;
     std::uint32_t requestId = 0;
-    std::vector<std::uint8_t> payload;   // binary frames
-    support::JsonValue jsonRequest;      // debug-mode requests
-    bool json = false;
+    std::vector<std::uint8_t> payload;
     /// Admission time; the worker enforces requestDeadlineMs against it.
     std::chrono::steady_clock::time_point admitted;
+  };
+  /// ServiceCounters' home: relaxed atomics; queuePeakDepth under queueMutex_.
+  struct LiveCounters {
+    std::atomic<std::int64_t> requests{0}, verifyRequests{0},
+        classifyRequests{0}, busyRejections{0}, errors{0},
+        connectionsAccepted{0}, connectionsRejected{0}, queuePeakDepth{0},
+        timeouts{0}, shedDowngrades{0}, shedAdmission{0};
   };
 
   /// Compiled problems by spec string, with a fingerprint index maintained
@@ -196,32 +206,30 @@ class VerificationService {
   void connectionLoop(std::shared_ptr<Connection> conn);
   void binaryLoop(const std::shared_ptr<Connection>& conn);
   void jsonLoop(const std::shared_ptr<Connection>& conn);
-  /// Admission control; sends kBusy / enqueues. Returns false when the
-  /// connection should close (shutdown request).
-  bool admit(Task task);
+  /// Admission, shared by both framings: acknowledges kShutdown, answers
+  /// kBusy over the client's budget, or enqueues the task.
+  void admit(Task task);
   void workerLoop();
   void execute(Task& task);
-  void executeJson(Task& task);
   void requestShutdown();
   void closeConnection(Connection& conn);
   /// True while the shedding policy is engaged (queue at/over threshold).
   bool sheddingNow() const;
-  /// Answers a task kTimeout (binary) / {"timeout":true} (JSON) without
-  /// executing it; counts it.
-  void sendTimeout(Task& task);
 
   VerifyResultFrame runVerify(const VerifyRequestFrame& frame,
                               bool shedActive);
   std::string runClassify(const ClassifyRequestFrame& frame);
 
-  void sendFrame(Connection& conn, wire::FrameType type,
-                 std::uint32_t requestId,
-                 std::span<const std::uint8_t> payload);
+  /// The one response writer: the frame, or on a JSON connection its line.
+  void respond(Connection& conn, wire::FrameType type,
+               std::uint32_t requestId,
+               std::span<const std::uint8_t> payload);
+  /// Counts an error and responds kError with `message`.
   void sendError(Connection& conn, std::uint32_t requestId,
                  const std::string& message);
-  void sendJsonLine(Connection& conn, const std::string& line);
 
   ServiceConfig config_;
+  engine::ThreadPool enginePool_;  // see the header comment
   int listenFd_ = -1;
   int port_ = -1;
   int shedThreshold_ = 0;
@@ -254,14 +262,7 @@ class VerificationService {
   ProblemCache problems_;
   engine::ReportCache reports_;
 
-  mutable std::mutex countersMutex_;
-  ServiceCounters counters_;
-  support::telemetry::Counter requestCounter_;
-  support::telemetry::Counter busyCounter_;
-  support::telemetry::Counter errorCounter_;
-  support::telemetry::Counter timeoutCounter_;
-  support::telemetry::Counter shedCounter_;
-  support::telemetry::Gauge queueGauge_;
+  LiveCounters counters_;
 };
 
 }  // namespace lclgrid::service

@@ -98,7 +98,13 @@ TEST(Torus2D, PowerDegreeBounds) {
             linfPowerDegreeBound(2));
 }
 
-TEST(Torus2D, RejectsBadSize) { EXPECT_THROW(Torus2D(0), std::invalid_argument); }
+TEST(Torus2D, RejectsBadSize) {
+  EXPECT_THROW(Torus2D(0), std::invalid_argument);
+  // size() is n * n in int: 46340^2 fits, 46341^2 and 65536^2 do not.
+  EXPECT_NO_THROW(Torus2D(46340));
+  EXPECT_THROW(Torus2D(46341), std::invalid_argument);
+  EXPECT_THROW(Torus2D(65536), std::invalid_argument);
+}
 
 // --- TorusD ---------------------------------------------------------------
 
@@ -115,6 +121,17 @@ TEST(TorusD, MatchesTorus2DDistances) {
       EXPECT_EQ(t2.linf(u, v), td.linf(du, dv));
     }
   }
+}
+
+TEST(TorusD, RejectsBadSize) {
+  EXPECT_THROW(TorusD(0, 4), std::invalid_argument);
+  EXPECT_THROW(TorusD(2, 0), std::invalid_argument);
+  // size() is n^dims in long long: (2^21 - 1)^3 and 2^62 fit, 2^63 does not.
+  EXPECT_NO_THROW(TorusD(3, (1 << 21) - 1));
+  EXPECT_THROW(TorusD(3, 1 << 21), std::invalid_argument);
+  EXPECT_NO_THROW(TorusD(62, 2));
+  EXPECT_THROW(TorusD(63, 2), std::invalid_argument);
+  EXPECT_THROW(TorusD(3, 3000000), std::invalid_argument);
 }
 
 TEST(TorusD, CoordsRoundTrip) {

@@ -148,6 +148,42 @@ TEST(ServiceProtocol, MalformedPayloadsThrow) {
   std::vector<std::uint8_t> bad;
   EXPECT_NO_THROW(bad = encodeVerifyRequest(wrong));
   EXPECT_THROW(service::decodeVerifyRequest(bad), service::ProtocolError);
+
+  // Enum bytes outside their enumerations are errors, not aliases of a
+  // valid value: problemRef (byte 0), labelling (byte 2), tierPin (byte 3).
+  const std::vector<int> four = {0, 1, 2, 3};
+  service::VerifyRequestFrame valid;
+  valid.spec = "vc:4";
+  valid.n = 2;
+  valid.labels = four;
+  const std::vector<std::uint8_t> good = encodeVerifyRequest(valid);
+  ASSERT_NO_THROW(service::decodeVerifyRequest(good));
+  for (const auto& [offset, value] :
+       {std::pair{0, 2}, std::pair{2, 2}, std::pair{3, 4}}) {
+    std::vector<std::uint8_t> mutated = good;
+    mutated.at(static_cast<std::size_t>(offset)) =
+        static_cast<std::uint8_t>(value);
+    EXPECT_THROW(service::decodeVerifyRequest(mutated), service::ProtocolError)
+        << "byte " << offset << " = " << value;
+  }
+  service::ClassifyRequestFrame classify;
+  classify.spec = "cmis";
+  std::vector<std::uint8_t> classifyPayload = encodeClassifyRequest(classify);
+  classifyPayload[0] = 2;  // problemRef
+  EXPECT_THROW(service::decodeClassifyRequest(classifyPayload),
+               service::ProtocolError);
+  // A result's perLabelling byte (byte 2) past 2, and trailing bytes after a
+  // result that announces no per-labelling array.
+  std::vector<std::uint8_t> resultPayload =
+      encodeVerifyResult(service::VerifyResultFrame{});
+  ASSERT_NO_THROW(service::decodeVerifyResult(resultPayload));
+  std::vector<std::uint8_t> unknownKind = resultPayload;
+  unknownKind[2] = 3;
+  EXPECT_THROW(service::decodeVerifyResult(unknownKind),
+               service::ProtocolError);
+  resultPayload.push_back(0);
+  EXPECT_THROW(service::decodeVerifyResult(resultPayload),
+               service::ProtocolError);
 }
 
 TEST(ServiceDaemon, VerifyMatchesLocalEngine) {
@@ -378,37 +414,47 @@ TEST(ServiceDaemon, OverloadAnswersExplicitBusyNeverSilent) {
 }
 
 TEST(ServiceDaemon, ConcurrentClientsDeterministicAcrossServiceThreads) {
-  const int n = 8;
+  // Large enough to shard: with engineThreads > 1 every request (threads 0
+  // = the daemon default) runs on the daemon's one shared engine pool,
+  // concurrently with the other workers' requests.
+  const int n = 64;
   const Torus2D torus(n);
   const GridLcl local = problems::vertexColouring(4);
   std::vector<int> broken = properFourColouring(n);
   broken[7] = broken[6];
+  broken[40 * n + 63] = broken[40 * n];  // an equal pair across the wrap
   const std::int64_t expected = countViolations(torus, local, broken);
   ASSERT_GT(expected, 0);
+  service::VerifyRequestFrame frame = verifyFrame("vc:4", n, broken);
+  frame.threads = 0;
 
-  for (int serviceThreads : {1, 2, 8}) {
-    ServiceConfig config = testConfig();
-    config.serviceThreads = serviceThreads;
-    VerificationService daemon(config);
-    daemon.start();
-    std::vector<std::thread> clients;
-    std::vector<int> failures(8, 0);
-    for (int c = 0; c < 8; ++c) {
-      clients.emplace_back([&, c] {
-        ServiceClient client = ServiceClient::connectTcp(daemon.port());
-        for (int i = 0; i < 20; ++i) {
-          const auto result = client.verify(verifyFrame("vc:4", n, broken));
-          if (!result || result->violations != expected) {
-            ++failures[static_cast<std::size_t>(c)];
+  for (int engineThreads : {1, 4}) {
+    for (int serviceThreads : {1, 2, 8}) {
+      ServiceConfig config = testConfig();
+      config.serviceThreads = serviceThreads;
+      config.engineThreads = engineThreads;
+      VerificationService daemon(config);
+      daemon.start();
+      std::vector<std::thread> clients;
+      std::vector<int> failures(8, 0);
+      for (int c = 0; c < 8; ++c) {
+        clients.emplace_back([&, c] {
+          ServiceClient client = ServiceClient::connectTcp(daemon.port());
+          for (int i = 0; i < 20; ++i) {
+            const auto result = client.verify(frame);
+            if (!result || result->violations != expected) {
+              ++failures[static_cast<std::size_t>(c)];
+            }
           }
-        }
-      });
+        });
+      }
+      for (std::thread& thread : clients) thread.join();
+      for (int count : failures) {
+        EXPECT_EQ(count, 0) << "serviceThreads=" << serviceThreads
+                            << " engineThreads=" << engineThreads;
+      }
+      daemon.stop();
     }
-    for (std::thread& thread : clients) thread.join();
-    for (int count : failures) {
-      EXPECT_EQ(count, 0) << "serviceThreads=" << serviceThreads;
-    }
-    daemon.stop();
   }
 }
 
@@ -489,6 +535,22 @@ TEST(ServiceDaemon, JsonDebugMode) {
     EXPECT_TRUE(support::parseJson(*alive).at("pong").asBool()) << *alive;
   }
 
+  // Geometry whose node count overflows the torus types (65536^2 > INT_MAX,
+  // 3000000^3 > LLONG_MAX) is an error line, not undefined behaviour; the
+  // connection stays open.
+  for (const char* huge :
+       {R"({"op":"verify","id":11,"problem":"vc:4","n":65536,"labels":[0]})",
+        R"({"op":"verify","id":11,"problem":"xor:3","dims":3,"n":3000000,)"
+        R"("labels":[0]})"}) {
+    const auto rejected = client.request(huge);
+    ASSERT_TRUE(rejected.has_value()) << huge;
+    EXPECT_NE(support::parseJson(*rejected).find("error"), nullptr)
+        << *rejected;
+    const auto alive = client.request(R"({"op":"ping","id":12})");
+    ASSERT_TRUE(alive.has_value()) << huge;
+    EXPECT_TRUE(support::parseJson(*alive).at("pong").asBool()) << *alive;
+  }
+
   const auto classified =
       client.request(R"({"op":"classify","id":3,"problem":"cvc:3"})");
   ASSERT_TRUE(classified.has_value());
@@ -514,6 +576,75 @@ TEST(ServiceDaemon, JsonDebugMode) {
   const auto parseError = client.request("this is not json");
   ASSERT_TRUE(parseError.has_value());
   EXPECT_NE(support::parseJson(*parseError).find("error"), nullptr);
+  daemon.stop();
+}
+
+TEST(ServiceDaemon, JsonOverloadAnswersBusyLines) {
+  ServiceConfig config = testConfig();
+  config.serviceThreads = 1;
+  config.maxQueuedPerClient = 1;
+  VerificationService daemon(config);
+  daemon.start();
+  JsonDebugClient client = JsonDebugClient::connectTcp(daemon.port());
+
+  // Three sleeps in one write against a budget of 1; a blank line is
+  // skipped by the daemon, so request("") only reads the next response.
+  std::vector<std::string> lines;
+  const auto first = client.request(R"({"op":"sleep","id":1,"ms":50})"
+                                    "\n"
+                                    R"({"op":"sleep","id":2,"ms":50})"
+                                    "\n"
+                                    R"({"op":"sleep","id":3,"ms":50})");
+  ASSERT_TRUE(first.has_value());
+  lines.push_back(*first);
+  for (int i = 0; i < 2; ++i) {
+    const auto next = client.request("");
+    ASSERT_TRUE(next.has_value()) << "response " << i + 1 << " went missing";
+    lines.push_back(*next);
+  }
+  std::vector<int> answers(4, 0);
+  int busy = 0;
+  int pongs = 0;
+  for (const std::string& line : lines) {
+    const support::JsonValue doc = support::parseJson(line);
+    const auto id = static_cast<std::size_t>(doc.at("id").asInt());
+    ASSERT_GE(id, 1u) << line;
+    ASSERT_LE(id, 3u) << line;
+    ++answers[id];
+    if (doc.find("busy") != nullptr) {
+      EXPECT_EQ(line, R"({"id":)" + std::to_string(id) + R"(,"busy":true})");
+      ++busy;
+    } else {
+      EXPECT_TRUE(doc.at("pong").asBool()) << line;
+      ++pongs;
+    }
+  }
+  EXPECT_EQ(answers, (std::vector<int>{0, 1, 1, 1}));
+  EXPECT_GE(busy, 1);
+  EXPECT_GE(pongs, 1);
+  EXPECT_GE(daemon.counters().busyRejections, 1);
+  daemon.stop();
+}
+
+TEST(ServiceDaemon, JsonDeadlineAnswersTimeoutLine) {
+  ServiceConfig config = testConfig();
+  config.serviceThreads = 1;
+  config.requestDeadlineMs = 20;
+  VerificationService daemon(config);
+  daemon.start();
+  JsonDebugClient client = JsonDebugClient::connectTcp(daemon.port());
+
+  // The ping queues behind the sleep on the only worker and out-waits its
+  // deadline: it is answered with a timeout line and never executed.
+  const auto sleep = client.request(R"({"op":"sleep","id":1,"ms":100})"
+                                    "\n"
+                                    R"({"op":"ping","id":2})");
+  ASSERT_TRUE(sleep.has_value());
+  EXPECT_EQ(support::parseJson(*sleep).at("id").asInt(), 1) << *sleep;
+  const auto ping = client.request("");
+  ASSERT_TRUE(ping.has_value());
+  EXPECT_EQ(*ping, R"({"id":2,"timeout":true})");
+  EXPECT_GE(daemon.counters().timeouts, 1);
   daemon.stop();
 }
 

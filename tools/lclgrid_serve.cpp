@@ -17,7 +17,8 @@
 //   --port N           TCP port (default 0 = ephemeral; resolved port is
 //                      printed on stdout)
 //   --threads N        service worker threads (default 2)
-//   --engine-threads N per-request engine thread budget (default 1)
+//   --engine-threads N lanes of the engine pool shared by multi-lane
+//                      requests (default 1)
 //   --max-queued N     admitted requests per client before kBusy (default 8)
 //   --cache N          compiled-problem LRU capacity (default 64)
 //   --report-cache N   oracle-report LRU capacity (default 64)
