@@ -307,7 +307,8 @@ int main(int argc, char** argv) {
               }));
           results.back().lanes = threads;
           bitslice::setEnabled(true);  // pin the bit-sliced kernel
-          if (verifier_detail::bitsliceSelected(lcl, torus.size())) {
+          if (verifier_detail::bitsliceSelected(lcl.asGridLclD(),
+                                                torus.size())) {
             results.push_back(
                 measure(dims, n, "bitsliced", nodes, minSeconds, [&]() {
                   return countViolations(torus, lcl, labels);

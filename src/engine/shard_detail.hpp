@@ -1,20 +1,18 @@
 // Internal sharding machinery of verify(VerifyRequest) (engine/verify_api.cpp).
-// One labelling is sharded into contiguous ranges of "shard items" -- grid
-// rows on Torus2D, axis-0 lines on TorusD (a chunk of the line space is a
-// slab along the outermost axes) -- each shard runs the exact serial kernel
-// slice (lcl/verifier.hpp verifier_detail), and per-shard violation counts
-// (or the slices' out-of-range sentinel) are combined in chunk order, so
-// every result is bit-identical to the serial pass; the determinism tests
-// pin this down for 1/2/8 threads.
+// One labelling is sharded into contiguous ranges of axis-0 lines (grid
+// rows at d = 2; a chunk of the line space is a slab along the outermost
+// axes) -- each shard runs the exact serial kernel slice (lcl/verifier.hpp
+// verifier_detail), and per-shard violation counts (or the slices'
+// out-of-range sentinel) are combined in chunk order, so every result is
+// bit-identical to the serial pass; the determinism tests pin this down for
+// 1/2/8 threads.
 //
 // runSlices is the one place that decides between running a slice inline
 // (no pool: the serial path) and chunking it across a pool; the in-core
 // dispatch and the streaming pass builder (shardedStream) both go through
-// it. Both torus families share these templates; the per-family
-// differences (item count, kernel slice, size validation) are small
-// overloaded shims, so the sharding scheme cannot diverge between 2D and d
-// dimensions. The d = 2 TorusD case additionally delegates to the 2D row
-// kernel inside the verifier_detail line slices.
+// it. Everything here works on (TorusD, GridLclD): verify() lifts a 2D
+// request to its d = 2 form first, and the d = 2 line slices delegate to
+// the 2D row kernels, so the sharding scheme exists once.
 //
 // NOT a stable API: include it only from src/engine.
 #pragma once
@@ -26,28 +24,13 @@
 #include <stdexcept>
 
 #include "engine/thread_pool.hpp"
-#include "grid/torus2d.hpp"
 #include "grid/torusd.hpp"
 #include "lcl/stream_verify.hpp"
 #include "lcl/verifier.hpp"
 
 namespace lclgrid::engine::shard_detail {
 
-// --- per-torus shims -------------------------------------------------------
-
-/// Shard items of one labelling: grid rows / axis-0 lines.
-inline std::int64_t shardItems(const Torus2D& torus) { return torus.n(); }
-inline std::int64_t shardItems(const TorusD& torus) {
-  return verifier_detail::lineCountD(torus);
-}
-
-/// Labelling size validation (TorusD also checks the dimension match).
-inline void checkLabelling(const Torus2D& torus, const GridLcl&,
-                           std::span<const int> labels) {
-  if (static_cast<int>(labels.size()) != torus.size()) {
-    throw std::invalid_argument("verifier: labelling size mismatch");
-  }
-}
+/// Labelling size validation, including the torus/problem dimension match.
 inline void checkLabelling(const TorusD& torus, const GridLclD& lcl,
                            std::span<const int> labels) {
   if (torus.dims() != lcl.dims()) {
@@ -60,8 +43,8 @@ inline void checkLabelling(const TorusD& torus, const GridLclD& lcl,
 
 /// Number of labellings in a back-to-back batch; throws when the batch is
 /// not a whole number of tori.
-template <typename Torus>
-std::size_t batchCount(const Torus& torus, std::span<const int> labelsBatch) {
+inline std::size_t batchCount(const TorusD& torus,
+                              std::span<const int> labelsBatch) {
   const std::size_t stride = static_cast<std::size_t>(torus.size());
   if (stride == 0 || labelsBatch.size() % stride != 0) {
     throw std::invalid_argument(
@@ -70,73 +53,12 @@ std::size_t batchCount(const Torus& torus, std::span<const int> labelsBatch) {
   return labelsBatch.size() / stride;
 }
 
-/// The compiled-table kernel slice over shard items [begin, end).
-inline std::int64_t tableSlice(const Torus2D& torus, const GridLcl& lcl,
-                               const int* labels, std::int64_t begin,
-                               std::int64_t end, bool stopAtFirst) {
-  return verifier_detail::tableViolationRows(
-      lcl.table(), torus.n(), labels, static_cast<int>(begin),
-      static_cast<int>(end), stopAtFirst);
-}
-inline std::int64_t tableSlice(const TorusD& torus, const GridLclD& lcl,
-                               const int* labels, std::int64_t begin,
-                               std::int64_t end, bool stopAtFirst) {
-  return verifier_detail::tableViolationLinesD(lcl.table(), torus, labels,
-                                               begin, end, stopAtFirst);
-}
-
-/// The bit-sliced kernel slice over shard items [begin, end). 2D (and the
-/// d = 2 delegated table) runs the self-contained rolling row kernel on the
-/// raw labels and ignores `planes`; d >= 3 reads the staged planes.
-inline std::int64_t bitsliceSlice(const Torus2D& torus, const GridLcl& lcl,
-                                  const LabelPlanes&, const int* labels,
-                                  std::int64_t begin, std::int64_t end,
-                                  bool stopAtFirst) {
-  return verifier_detail::bitsliceViolationRows(
-      lcl.table(), torus.n(), torus.n(), labels, static_cast<int>(begin),
-      static_cast<int>(end), stopAtFirst);
-}
-inline std::int64_t bitsliceSlice(const TorusD& torus, const GridLclD& lcl,
-                                  const LabelPlanes& planes, const int* labels,
-                                  std::int64_t begin, std::int64_t end,
-                                  bool stopAtFirst) {
-  return verifier_detail::bitsliceViolationLinesD(
-      lcl.table(), torus, planes, labels, begin, end, stopAtFirst);
-}
-
-/// Plane buffer the bit-sliced slices read: empty (no staging) for 2D and
-/// the d = 2 delegated table.
-inline LabelPlanes bitslicePlanes(const Torus2D&, const GridLcl&) {
-  return LabelPlanes();
-}
-inline LabelPlanes bitslicePlanes(const TorusD& torus, const GridLclD& lcl) {
-  return verifier_detail::bitsliceMakePlanesD(torus, lcl.table());
-}
-
-/// The functional-fallback slice over nodes [begin, end).
-inline std::int64_t functionalSlice(const Torus2D& torus, const GridLcl& lcl,
-                                    std::span<const int> labels,
-                                    std::int64_t begin, std::int64_t end,
-                                    bool stopAtFirst) {
-  return verifier_detail::functionalViolationRange(
-      torus, lcl, labels, static_cast<int>(begin), static_cast<int>(end),
-      stopAtFirst);
-}
-inline std::int64_t functionalSlice(const TorusD& torus, const GridLclD& lcl,
-                                    std::span<const int> labels,
-                                    std::int64_t begin, std::int64_t end,
-                                    bool stopAtFirst) {
-  return verifier_detail::functionalViolationRangeD(torus, lcl, labels, begin,
-                                                    end, stopAtFirst);
-}
-
-/// EngineOptions::grain counts shard items (rows / lines) for a single
-/// labelling; the functional fallback shards by node index, so the item
-/// grain is scaled by the item length to keep the chunk payload (and hence
-/// the scheduling overhead) identical on both paths.
-template <typename Torus>
-std::int64_t nodeGrain(std::int64_t itemGrain, const Torus& torus) {
-  return itemGrain > 0 ? itemGrain * torus.n() : 0;
+/// EngineOptions::grain counts lines for a single labelling; the
+/// functional fallback shards by node index, so the line grain is scaled
+/// by the line length to keep the chunk payload (and hence the scheduling
+/// overhead) identical on both paths.
+inline std::int64_t nodeGrain(std::int64_t lineGrain, const TorusD& torus) {
+  return lineGrain > 0 ? lineGrain * torus.n() : 0;
 }
 
 // --- the sharding scheme ---------------------------------------------------
@@ -185,9 +107,9 @@ std::int64_t runSlices(ThreadPool* pool, std::int64_t begin, std::int64_t end,
 /// pool, with chunks after the first out-of-range find returning
 /// immediately. Automatic selection runs no such scan: the kernel slices
 /// check the rows they read.
-template <typename Torus>
-bool allInRange(ThreadPool* pool, std::int64_t grain, const Torus& torus,
-                int sigma, std::span<const int> labels) {
+inline bool allInRange(ThreadPool* pool, std::int64_t grain,
+                       const TorusD& torus, int sigma,
+                       std::span<const int> labels) {
   return runSlices(pool, 0, static_cast<std::int64_t>(labels.size()),
                    nodeGrain(grain, torus), /*stopAtFirst=*/true,
                    [&](std::int64_t begin, std::int64_t end, bool) {
@@ -209,23 +131,15 @@ bool allInRange(ThreadPool* pool, std::int64_t grain, const Torus& torus,
 // one with it -- so counts are bit-identical to the in-core engine at every
 // thread count.
 
-/// Validates a file against the problem and returns the torus it labels.
-inline Torus2D streamTorus(const StreamLabelling& file, const GridLcl& lcl) {
-  stream_verify_detail::checkStream2D(file, lcl);
-  return Torus2D(file.n());
-}
-inline TorusD streamTorus(const StreamLabelling& file, const GridLclD& lcl) {
+/// One streaming pass over `file`, validated against the problem here;
+/// `pool` may be null for the serial pass.
+inline std::int64_t shardedStream(ThreadPool* pool, std::int64_t grain,
+                                  const StreamLabelling& file,
+                                  const GridLclD& lcl,
+                                  const StreamWindow& window,
+                                  bool stopAtFirst) {
   stream_verify_detail::checkStreamD(file, lcl);
-  return TorusD(file.dims(), file.n());
-}
-
-/// One streaming pass over `file` (validated by streamTorus); `pool` may be
-/// null for the serial pass.
-template <typename Torus, typename Lcl>
-std::int64_t shardedStream(ThreadPool* pool, std::int64_t grain,
-                           const StreamLabelling& file, const Lcl& lcl,
-                           const Torus& torus, const StreamWindow& window,
-                           bool stopAtFirst) {
+  const TorusD torus(file.dims(), file.n());
   const int n = file.n();
   const int* labels = file.labels();
   const std::span<const int> all(labels,
@@ -247,25 +161,28 @@ std::int64_t shardedStream(ThreadPool* pool, std::int64_t grain,
   }
   if (pass.tablePath) {
     // Streaming selects the bit-sliced tier only where it needs no plane
-    // staging (2D and d = 2), so the slices read the raw mapped labels.
+    // staging (d = 2), so the slices read the raw mapped labels.
     const bool sliced = stream_verify_detail::streamUsesBitslice(file, lcl);
     static const LabelPlanes kNoPlanes;
     pass.kernelRows = [pool, grain, &torus, &lcl, labels, sliced](
                           long long begin, long long end, bool stop) {
-      return runSlices(pool, begin, end, grain, stop,
-                       [&](std::int64_t s, std::int64_t t, bool first) {
-                         return sliced ? bitsliceSlice(torus, lcl, kNoPlanes,
-                                                       labels, s, t, first)
-                                       : tableSlice(torus, lcl, labels, s, t,
-                                                    first);
-                       });
+      return runSlices(
+          pool, begin, end, grain, stop,
+          [&](std::int64_t s, std::int64_t t, bool first) {
+            return sliced ? verifier_detail::bitsliceViolationLinesD(
+                                lcl.table(), torus, kNoPlanes, labels, s, t,
+                                first)
+                          : verifier_detail::tableViolationLinesD(
+                                lcl.table(), torus, labels, s, t, first);
+          });
     };
   }
   pass.functionalRows = [pool, grain, &torus, &lcl, all, n](
                             long long begin, long long end, bool stop) {
     return runSlices(pool, begin * n, end * n, nodeGrain(grain, torus), stop,
                      [&](std::int64_t s, std::int64_t t, bool first) {
-                       return functionalSlice(torus, lcl, all, s, t, first);
+                       return verifier_detail::functionalViolationRangeD(
+                           torus, lcl, all, s, t, first);
                      });
   };
   return stream_verify_detail::runStreamPass(pass, stopAtFirst);

@@ -1,5 +1,7 @@
 // The unified verification front door (lcl/verify_api.hpp) and the only
-// verification implementation in the library: tier selection in
+// verification implementation in the library. verify() lifts a 2D request
+// to its d = 2 form (GridLcl::asGridLclD on TorusD(2, n)) at the front
+// door, so everything below runs on (TorusD, GridLclD): tier selection in
 // selectKernel, then a direct dispatch onto the verifier_detail kernel
 // slices through the sharding scheme of engine/shard_detail.hpp -- inline
 // for a serial request, chunked across the pool otherwise. The slices check
@@ -14,7 +16,6 @@
 #include <cstddef>
 #include <optional>
 #include <stdexcept>
-#include <type_traits>
 
 #include "engine/shard_detail.hpp"
 #include "grid/torus2d.hpp"
@@ -40,10 +41,8 @@ verify_probes::Tier probeTier(VerifyTier tier) {
 
 /// Plan existence for a kBitsliced pin: independent of the LCLGRID_BITSLICE
 /// gate and the node floor (pins bypass both; the plan itself is compiled
-/// unconditionally when the relation fits a plan shape).
-bool hasBitslicePlan(const GridLcl& lcl) {
-  return lcl.hasTable() && lcl.table().bitslicePlan() != nullptr;
-}
+/// unconditionally when the relation fits a plan shape). d = 2 reads the
+/// delegated 2D table's plan.
 bool hasBitslicePlan(const GridLclD& lcl) {
   if (!lcl.hasTable()) return false;
   if (const LclTable* table2d = lcl.table().as2d()) {
@@ -57,9 +56,8 @@ bool hasBitslicePlan(const GridLclD& lcl) {
 /// rows they read); a pinned table or bit-sliced tier validates its
 /// precondition with a range scan, sharded when `pool` is attached (null
 /// for serial execution).
-template <typename Torus, typename Lcl>
 VerifyTier selectKernel(engine::ThreadPool* pool, std::int64_t grain,
-                        const Torus& torus, const Lcl& lcl,
+                        const TorusD& torus, const GridLclD& lcl,
                         std::span<const int> labels, TierPin pin) {
   const auto labelsInRange = [&] {
     return sd::allInRange(pool, grain, torus, lcl.sigma(), labels);
@@ -97,57 +95,54 @@ VerifyTier selectKernel(engine::ThreadPool* pool, std::int64_t grain,
   throw std::invalid_argument("verify: unknown tier pin");
 }
 
-/// The bit-sliced pass over one labelling. The staged d >= 3 kernel first
-/// transposes the labelling into plane buffers (sharded: disjoint line
-/// ranges, so the writes are race-free), checking each line as it stages
-/// it. A serial early-exit pass stages progressively instead, one
-/// outermost-axis block (lines / n lines) ahead of the scan, so a
+/// The bit-sliced pass over one labelling. d = 2 runs the self-contained
+/// rolling row kernel on the raw labels (no planes). The staged d >= 3
+/// kernel first transposes the labelling into plane buffers (sharded:
+/// disjoint line ranges, so the writes are race-free), checking each line
+/// as it stages it. A serial early-exit pass stages progressively instead,
+/// one outermost-axis block (lines / n lines) ahead of the scan, so a
 /// violation in the first block costs O(block) transposition, not O(N):
 /// every outer-axis neighbour of a line lies within +-1 block, so the scan
 /// of block i only needs blocks i-1, i, i+1 (cyclically) -- the wrap block
 /// is staged up front, the rest one block ahead. (A sharded staggered stage
 /// would serialise on block order.)
-template <typename Torus, typename Lcl>
 std::int64_t bitslicePass(engine::ThreadPool* pool, std::int64_t grain,
-                          const Torus& torus, const Lcl& lcl,
+                          const TorusD& torus, const GridLclD& lcl,
                           std::span<const int> labels, bool stopAtFirst) {
-  LabelPlanes planes = sd::bitslicePlanes(torus, lcl);
+  LabelPlanes planes = verifier_detail::bitsliceMakePlanesD(torus, lcl.table());
   const auto slice = [&](std::int64_t begin, std::int64_t end, bool stop) {
-    return sd::bitsliceSlice(torus, lcl, planes, labels.data(), begin, end,
-                             stop);
+    return verifier_detail::bitsliceViolationLinesD(
+        lcl.table(), torus, planes, labels.data(), begin, end, stop);
   };
-  const std::int64_t lines = sd::shardItems(torus);
-  if constexpr (std::is_same_v<Torus, TorusD>) {
-    const auto stage = [&](std::int64_t begin, std::int64_t end) {
-      return verifier_detail::bitsliceStageLinesD(lcl.sigma(), labels, planes,
-                                                  begin, end);
-    };
-    if (planes.rows() > 0 && pool == nullptr && stopAtFirst) {
-      const std::int64_t blockLines =
-          std::max<std::int64_t>(1, lines / torus.n());
-      if (!stage(lines - blockLines, lines)) return 1;  // wrap block
-      std::int64_t stagedEnd = 0;
-      for (std::int64_t begin = 0; begin < lines; begin += blockLines) {
-        const std::int64_t end = std::min(begin + blockLines, lines);
-        const std::int64_t need =
-            std::min(end + blockLines, lines - blockLines);
-        if (need > stagedEnd) {
-          if (!stage(stagedEnd, need)) return 1;
-          stagedEnd = need;
-        }
-        if (slice(begin, end, /*stop=*/true) != 0) return 1;
+  const std::int64_t lines = verifier_detail::lineCountD(torus);
+  const auto stage = [&](std::int64_t begin, std::int64_t end) {
+    return verifier_detail::bitsliceStageLinesD(lcl.sigma(), labels, planes,
+                                                begin, end);
+  };
+  if (planes.rows() > 0 && pool == nullptr && stopAtFirst) {
+    const std::int64_t blockLines =
+        std::max<std::int64_t>(1, lines / torus.n());
+    if (!stage(lines - blockLines, lines)) return 1;  // wrap block
+    std::int64_t stagedEnd = 0;
+    for (std::int64_t begin = 0; begin < lines; begin += blockLines) {
+      const std::int64_t end = std::min(begin + blockLines, lines);
+      const std::int64_t need = std::min(end + blockLines, lines - blockLines);
+      if (need > stagedEnd) {
+        if (!stage(stagedEnd, need)) return 1;
+        stagedEnd = need;
       }
-      return 0;
+      if (slice(begin, end, /*stop=*/true) != 0) return 1;
     }
-    if (planes.rows() > 0) {
-      const std::int64_t staged = sd::runSlices(
-          pool, 0, lines, grain, stopAtFirst,
-          [&](std::int64_t begin, std::int64_t end, bool) {
-            return stage(begin, end) ? std::int64_t{0}
-                                     : verifier_detail::kOutOfRange;
-          });
-      if (staged != 0) return staged;
-    }
+    return 0;
+  }
+  if (planes.rows() > 0) {
+    const std::int64_t staged = sd::runSlices(
+        pool, 0, lines, grain, stopAtFirst,
+        [&](std::int64_t begin, std::int64_t end, bool) {
+          return stage(begin, end) ? std::int64_t{0}
+                                   : verifier_detail::kOutOfRange;
+        });
+    if (staged != 0) return staged;
   }
   return sd::runSlices(pool, 0, lines, grain, stopAtFirst, slice);
 }
@@ -155,9 +150,8 @@ std::int64_t bitslicePass(engine::ThreadPool* pool, std::int64_t grain,
 /// Violations of one labelling on the resolved kernel: the exact count or
 /// kOutOfRange, or (stopAtFirst) 0 / 1 with an early exit at the first
 /// violation -- cooperatively across shards when pooled.
-template <typename Torus, typename Lcl>
 std::int64_t runKernel(engine::ThreadPool* pool, std::int64_t grain,
-                       const Torus& torus, const Lcl& lcl,
+                       const TorusD& torus, const GridLclD& lcl,
                        std::span<const int> labels, VerifyTier kernel,
                        bool stopAtFirst) {
   verify_probes::recordCall(probeTier(kernel),
@@ -168,17 +162,18 @@ std::int64_t runKernel(engine::ThreadPool* pool, std::int64_t grain,
       return bitslicePass(pool, grain, torus, lcl, labels, stopAtFirst);
     case VerifyTier::kTable:
       return sd::runSlices(
-          pool, 0, sd::shardItems(torus), grain, stopAtFirst,
+          pool, 0, verifier_detail::lineCountD(torus), grain, stopAtFirst,
           [&](std::int64_t begin, std::int64_t end, bool stop) {
-            return sd::tableSlice(torus, lcl, labels.data(), begin, end,
-                                  stop);
+            return verifier_detail::tableViolationLinesD(
+                lcl.table(), torus, labels.data(), begin, end, stop);
           });
     default:
       return sd::runSlices(
           pool, 0, static_cast<std::int64_t>(labels.size()),
           sd::nodeGrain(grain, torus), stopAtFirst,
           [&](std::int64_t begin, std::int64_t end, bool stop) {
-            return sd::functionalSlice(torus, lcl, labels, begin, end, stop);
+            return verifier_detail::functionalViolationRangeD(
+                torus, lcl, labels, begin, end, stop);
           });
   }
 }
@@ -187,9 +182,8 @@ std::int64_t runKernel(engine::ThreadPool* pool, std::int64_t grain,
 /// verify mode runSlices already counts it as a violated node; in count
 /// mode the labelling is recounted on the functional tier, which becomes
 /// the reported `tier`.
-template <typename Torus, typename Lcl>
 std::int64_t verifyLabelling(engine::ThreadPool* pool, std::int64_t grain,
-                             const Torus& torus, const Lcl& lcl,
+                             const TorusD& torus, const GridLclD& lcl,
                              std::span<const int> labels, VerifyTier& tier,
                              bool stopAtFirst) {
   const std::int64_t violations =
@@ -200,10 +194,9 @@ std::int64_t verifyLabelling(engine::ThreadPool* pool, std::int64_t grain,
   return runKernel(pool, grain, torus, lcl, labels, tier, stopAtFirst);
 }
 
-/// Dispatch of an in-core request (single labelling or batch) for one
-/// torus family; fills everything except nanos.
-template <typename Torus, typename Lcl>
-VerifyResult dispatchInCore(const Torus& torus, const Lcl& lcl,
+/// Dispatch of an in-core request (single labelling or batch); fills
+/// everything except nanos.
+VerifyResult dispatchInCore(const TorusD& torus, const GridLclD& lcl,
                             std::span<const int> labels,
                             const VerifyOptions& options) {
   engine::PoolHandle handle(options.engine);
@@ -269,42 +262,34 @@ VerifyResult dispatchInCore(const Torus& torus, const Lcl& lcl,
 
 /// Dispatch of a streaming request: one pass of shard_detail's builder,
 /// inline on a 1-lane pool, slab-sharded otherwise.
-template <typename Lcl>
-VerifyResult dispatchStream(const StreamLabelling& file, const Lcl& lcl,
+VerifyResult dispatchStream(const StreamLabelling& file, const GridLclD& lcl,
                             const VerifyOptions& options) {
   if (options.tier != TierPin::kAuto) {
     throw std::invalid_argument(
         "verify: streaming requests accept only TierPin::kAuto");
   }
-  const auto torus = sd::streamTorus(file, lcl);
   engine::PoolHandle handle(options.engine);
   engine::ThreadPool* pool =
       handle.pool().lanes() == 1 ? nullptr : &handle.pool();
   VerifyResult result;
   result.tier = VerifyTier::kStream;
-  result.violations =
-      sd::shardedStream(pool, options.engine.grain, file, lcl, torus,
-                        options.window, !options.countViolations);
+  result.violations = sd::shardedStream(pool, options.engine.grain, file, lcl,
+                                        options.window,
+                                        !options.countViolations);
   result.feasible = result.violations == 0;
   return result;
 }
 
 /// The single-labelling conveniences' request: it must not silently turn a
 /// whole multiple of the torus size into a batch, hence the size check.
-template <typename Torus, typename Lcl>
-VerifyResult verifyOne(const Torus& torus, const Lcl& lcl,
+VerifyResult verifyOne(const TorusD& torus, const GridLclD& lcl,
                        std::span<const int> labels,
                        const engine::EngineOptions& engine,
                        bool countViolations) {
   sd::checkLabelling(torus, lcl, labels);
   VerifyRequest request;
-  if constexpr (std::is_same_v<Torus, Torus2D>) {
-    request.problem = &lcl;
-    request.torus = &torus;
-  } else {
-    request.problemD = &lcl;
-    request.torusD = &torus;
-  }
+  request.problemD = &lcl;
+  request.torusD = &torus;
   request.labels = labels;
   request.options.countViolations = countViolations;
   request.options.engine = engine;
@@ -328,23 +313,17 @@ const char* verifyTierName(VerifyTier tier) {
 }
 
 VerifyResult verify(const VerifyRequest& request) {
-  // --- resolve the problem reference ---------------------------------------
-  const GridLcl* problem = request.problem;
-  const GridLclD* problemD = request.problemD;
-  if (problem != nullptr && problemD != nullptr) {
+  // --- resolve the problem: a 2D problem runs as its d = 2 form -----------
+  if (request.problem != nullptr && request.problemD != nullptr) {
     throw std::invalid_argument(
         "verify: request names both a 2D and a d-dimensional problem");
   }
-  if (problem == nullptr && problemD == nullptr) {
-    if (!request.resolveFingerprint) {
-      throw std::invalid_argument(
-          "verify: request has no problem and no fingerprint resolver");
-    }
-    problem = request.resolveFingerprint(request.fingerprint);
-    if (problem == nullptr) {
-      throw std::invalid_argument("verify: unknown problem fingerprint");
-    }
+  if (request.problem == nullptr && request.problemD == nullptr) {
+    throw std::invalid_argument("verify: request names no problem");
   }
+  const GridLclD& lcl = request.problem != nullptr
+                            ? request.problem->asGridLclD()
+                            : *request.problemD;
 
   // --- resolve the instance -------------------------------------------------
   const bool hasFile = request.file != nullptr;
@@ -366,47 +345,42 @@ VerifyResult verify(const VerifyRequest& request) {
     std::optional<StreamLabelling> opened;
     if (hasPath) opened.emplace(request.labellingPath);
     const StreamLabelling& file = hasPath ? *opened : *request.file;
-    result = problem != nullptr ? dispatchStream(file, *problem,
-                                                 request.options)
-                                : dispatchStream(file, *problemD,
-                                                 request.options);
-  } else if (problem != nullptr) {
-    if (request.torus == nullptr) {
-      throw std::invalid_argument(
-          "verify: a 2D problem needs VerifyRequest::torus");
-    }
-    result = dispatchInCore(*request.torus, *problem, request.labels,
-                            request.options);
+    result = dispatchStream(file, lcl, request.options);
   } else {
-    if (request.torusD == nullptr) {
+    std::optional<TorusD> lifted;
+    const TorusD* torus = request.torusD;
+    if (request.problem != nullptr) {
+      if (request.torus == nullptr) {
+        throw std::invalid_argument(
+            "verify: a 2D problem needs VerifyRequest::torus");
+      }
+      torus = &lifted.emplace(2, request.torus->n());
+    } else if (torus == nullptr) {
       throw std::invalid_argument(
           "verify: a d-dimensional problem needs VerifyRequest::torusD");
     }
-    result = dispatchInCore(*request.torusD, *problemD, request.labels,
-                            request.options);
+    result = dispatchInCore(*torus, lcl, request.labels, request.options);
   }
   result.nanos = std::chrono::duration_cast<std::chrono::nanoseconds>(
                      std::chrono::steady_clock::now() - started)
                      .count();
-  if (problem != nullptr) {
-    result.fingerprint = problem->hasTable() ? problem->table().fingerprint()
-                                             : 0;
-  } else {
-    result.fingerprint = problemD->hasTable() ? problemD->table().fingerprint()
-                                              : 0;
-  }
+  result.fingerprint = lcl.hasTable() ? lcl.table().fingerprint() : 0;
   return result;
 }
 
 bool verify(const Torus2D& torus, const GridLcl& lcl,
             std::span<const int> labels, const engine::EngineOptions& engine) {
-  return verifyOne(torus, lcl, labels, engine, false).feasible;
+  return verifyOne(TorusD(2, torus.n()), lcl.asGridLclD(), labels, engine,
+                   false)
+      .feasible;
 }
 
 std::int64_t countViolations(const Torus2D& torus, const GridLcl& lcl,
                              std::span<const int> labels,
                              const engine::EngineOptions& engine) {
-  return verifyOne(torus, lcl, labels, engine, true).violations;
+  return verifyOne(TorusD(2, torus.n()), lcl.asGridLclD(), labels, engine,
+                   true)
+      .violations;
 }
 
 bool verify(const TorusD& torus, const GridLclD& lcl,

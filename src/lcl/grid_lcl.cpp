@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <mutex>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
@@ -15,6 +16,7 @@ GridLcl::GridLcl(std::string name, int sigma, std::uint8_t deps, Predicate ok)
     table_ = std::make_shared<const LclTable>(
         LclTable::compile(sigma_, deps_, ok_));
   }
+  buildD2Form();
 }
 
 GridLcl::GridLcl(std::string name, LclTable table)
@@ -30,6 +32,20 @@ GridLcl::GridLcl(std::string name, LclTable table)
     if (!in(c) || !in(n) || !in(e) || !in(s) || !in(w)) return false;
     return t->allows(c, n, e, s, w);
   };
+  buildD2Form();
+}
+
+void GridLcl::buildD2Form() {
+  std::shared_ptr<const LclTableD> tableD;
+  if (table_) {
+    tableD = std::make_shared<const LclTableD>(LclTableD::fromTable2D(table_));
+  }
+  // GridLclD's sharing constructor is private (friend): no make_shared.
+  asD_.reset(new GridLclD(name_, sigma_, LclTableD::depsFrom2D(deps_),
+                          [ok = ok_](int c, std::span<const int> nbrs) {
+                            return ok(c, nbrs[2], nbrs[0], nbrs[3], nbrs[1]);
+                          },
+                          std::move(tableD)));
 }
 
 GridLcl::GridLcl(const GridLcl& other)
@@ -38,6 +54,7 @@ GridLcl::GridLcl(const GridLcl& other)
       deps_(other.deps_),
       ok_(other.ok_),
       table_(other.table_),
+      asD_(other.asD_),
       labelNames_(other.labelNames_) {
   // The acquire load synchronises with the publication in projections():
   // once the pointer is visible, other.projections_ is immutable, so the
@@ -58,6 +75,7 @@ GridLcl& GridLcl::operator=(const GridLcl& other) {
   deps_ = copy.deps_;
   ok_ = std::move(copy.ok_);
   table_ = std::move(copy.table_);
+  asD_ = std::move(copy.asD_);
   labelNames_ = std::move(copy.labelNames_);
   projections_ = std::move(copy.projections_);
   projectionsPtr_.store(copy.projectionsPtr_.load(std::memory_order_relaxed),
@@ -71,6 +89,7 @@ GridLcl::GridLcl(GridLcl&& other) noexcept
       deps_(other.deps_),
       ok_(std::move(other.ok_)),
       table_(std::move(other.table_)),
+      asD_(std::move(other.asD_)),
       labelNames_(std::move(other.labelNames_)),
       projections_(std::move(other.projections_)) {
   projectionsPtr_.store(
@@ -86,6 +105,7 @@ GridLcl& GridLcl::operator=(GridLcl&& other) noexcept {
   deps_ = other.deps_;
   ok_ = std::move(other.ok_);
   table_ = std::move(other.table_);
+  asD_ = std::move(other.asD_);
   labelNames_ = std::move(other.labelNames_);
   projections_ = std::move(other.projections_);
   projectionsPtr_.store(

@@ -16,6 +16,11 @@
 // L_M of Section 6) get bespoke verifiers; per the paper this only shifts
 // running times by additive constants.
 //
+// Every GridLcl carries its d = 2 form (asGridLclD), built once at
+// construction: verify(VerifyRequest) lifts a 2D request onto it and runs
+// the d-dimensional engine, whose d = 2 slices delegate to the 2D row
+// kernels.
+//
 // Thread-safety contract: a constructed GridLcl is immutable apart from
 // setLabelNames, so const queries (allows, table, trivialLabel, the
 // projections) may run concurrently from engine pool threads -- the lazy
@@ -32,6 +37,7 @@
 #include <string>
 #include <vector>
 
+#include "lcl/grid_lcl_d.hpp"
 #include "lcl/lcl_table.hpp"
 
 namespace lclgrid {
@@ -95,6 +101,13 @@ class GridLcl {
   /// reference implementation for uncompiled problems).
   const Predicate& predicate() const { return ok_; }
 
+  /// This problem as a d = 2 GridLclD (neighbour slots [E, W, N, S]): it
+  /// shares the compiled table's rows (none when uncompiled) and judges
+  /// labels outside [0, sigma) with this problem's predicate, so it gives
+  /// every labelling the 2D verdict. Built once at construction and shared
+  /// by copies; label names are not carried over.
+  const GridLclD& asGridLclD() const { return *asD_; }
+
   /// Optional human-readable label names (size sigma if set).
   void setLabelNames(std::vector<std::string> names);
   std::string labelName(int label) const;
@@ -120,6 +133,9 @@ class GridLcl {
     return static_cast<unsigned>(label) < static_cast<unsigned>(sigma_);
   }
 
+  /// Builds asD_ from the predicate and table (both constructors).
+  void buildD2Form();
+
   /// Decomposability data for the fallback path (alphabets beyond the table
   /// limits), computed on first use and published once.
   struct Projections {
@@ -134,6 +150,7 @@ class GridLcl {
   std::uint8_t deps_;
   Predicate ok_;
   std::shared_ptr<const LclTable> table_;  // shared: copies stay cheap
+  std::shared_ptr<const GridLclD> asD_;    // shared, like table_
   std::vector<std::string> labelNames_;
 
   // Lazily computed, set at most once. The lock-free fast path is the raw

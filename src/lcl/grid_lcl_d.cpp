@@ -45,6 +45,15 @@ GridLclD::GridLclD(std::string name, LclTableD table)
   };
 }
 
+GridLclD::GridLclD(std::string name, int sigma, std::uint32_t deps,
+                   Predicate ok, std::shared_ptr<const LclTableD> table)
+    : name_(std::move(name)),
+      dims_(2),
+      sigma_(sigma),
+      deps_(deps),
+      ok_(std::move(ok)),
+      table_(std::move(table)) {}
+
 const LclTableD& GridLclD::table() const {
   if (!table_) throw std::logic_error("GridLclD: problem is not compiled");
   return *table_;

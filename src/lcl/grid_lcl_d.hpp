@@ -32,6 +32,8 @@
 
 namespace lclgrid {
 
+class GridLcl;
+
 class GridLclD {
  public:
   /// nbrs has 2*dims entries in the slot order above.
@@ -85,6 +87,13 @@ class GridLclD {
   int trivialLabel() const;
 
  private:
+  /// The d = 2 form of a GridLcl (GridLcl::asGridLclD): shares its
+  /// compiled table (nullptr: uncompiled) without recompiling and judges
+  /// labels outside [0, sigma) with its predicate `ok`.
+  friend class GridLcl;
+  GridLclD(std::string name, int sigma, std::uint32_t deps, Predicate ok,
+           std::shared_ptr<const LclTableD> table);
+
   bool inRange(int label) const {
     return static_cast<unsigned>(label) < static_cast<unsigned>(sigma_);
   }

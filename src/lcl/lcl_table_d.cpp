@@ -14,23 +14,14 @@ constexpr int kSlotWest = 1;   // -x
 constexpr int kSlotNorth = 2;  // +y
 constexpr int kSlotSouth = 3;  // -y
 
-/// 2D DepBit mask of a d = 2 slot mask (and back); the two conventions
-/// name the same four directions.
+/// 2D DepBit mask of a d = 2 slot mask (depsFrom2D is the inverse); the
+/// two conventions name the same four directions.
 std::uint8_t depsTo2d(std::uint32_t deps) {
   std::uint8_t out = 0;
   if (deps & (1u << kSlotNorth)) out |= kTableDepN;
   if (deps & (1u << kSlotEast)) out |= kTableDepE;
   if (deps & (1u << kSlotSouth)) out |= kTableDepS;
   if (deps & (1u << kSlotWest)) out |= kTableDepW;
-  return out;
-}
-
-std::uint32_t depsFrom2d(std::uint8_t deps) {
-  std::uint32_t out = 0;
-  if (deps & kTableDepN) out |= 1u << kSlotNorth;
-  if (deps & kTableDepE) out |= 1u << kSlotEast;
-  if (deps & kTableDepS) out |= 1u << kSlotSouth;
-  if (deps & kTableDepW) out |= 1u << kSlotWest;
   return out;
 }
 
@@ -44,6 +35,15 @@ std::uint64_t fnvMix(std::uint64_t hash, std::uint64_t word) {
 }
 
 }  // namespace
+
+std::uint32_t LclTableD::depsFrom2D(std::uint8_t deps) {
+  std::uint32_t out = 0;
+  if (deps & kTableDepN) out |= 1u << kSlotNorth;
+  if (deps & kTableDepE) out |= 1u << kSlotEast;
+  if (deps & kTableDepS) out |= 1u << kSlotSouth;
+  if (deps & kTableDepW) out |= 1u << kSlotWest;
+  return out;
+}
 
 std::uint32_t LclTableD::fullDeps(int dims) {
   if (dims < 1 || dims > kMaxDims) {
@@ -117,15 +117,7 @@ LclTableD::LclTableD(std::shared_ptr<const LclTable> table2d,
           table2d_->verticalOk(lo, up) ? 1 : 0;
     }
   }
-  std::uint64_t hash = 1469598103934665603ULL;
-  hash = fnvMix(hash, static_cast<std::uint64_t>(dims_));
-  hash = fnvMix(hash, static_cast<std::uint64_t>(sigma_));
-  hash = fnvMix(hash, static_cast<std::uint64_t>(deps_));
-  const std::uint64_t* rows = table2d_->rowData();
-  for (std::size_t i = 0; i < table2d_->rowCount(); ++i) {
-    hash = fnvMix(hash, rows[i]);
-  }
-  fingerprint_ = hash;
+  fingerprint_ = table2d_->fingerprint();
 }
 
 void LclTableD::advanceOdometer(std::vector<int>& nbrs) const {
@@ -172,8 +164,12 @@ LclTableD LclTableD::compile(int dims, int sigma, std::uint32_t deps,
 }
 
 LclTableD LclTableD::fromTable2D(LclTable table) {
-  const std::uint32_t deps = depsFrom2d(table.deps());
-  return LclTableD(std::make_shared<LclTable>(std::move(table)), deps);
+  return fromTable2D(std::make_shared<const LclTable>(std::move(table)));
+}
+
+LclTableD LclTableD::fromTable2D(std::shared_ptr<const LclTable> table) {
+  const std::uint32_t deps = depsFrom2D(table->deps());
+  return LclTableD(std::move(table), deps);
 }
 
 LclTableD LclTableD::disjointUnion(const LclTableD& p, const LclTableD& q) {

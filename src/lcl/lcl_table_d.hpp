@@ -19,7 +19,9 @@
 // same strides, remapped to the slot order above), so there is exactly one
 // 2D code path in the library and the existing 2D fast path cannot regress.
 // as2d() exposes the delegated table; the TorusD verifier routes d = 2
-// through the proven 2D row kernel.
+// through the proven 2D row kernel, and the fingerprint is the delegated
+// table's. GridLcl builds its d = 2 form on fromTable2D, which is how
+// verify() runs every 2D request on the d-dimensional engine.
 //
 // Derived data, as in 2D: per-axis pair projections and the
 // edge-decomposability verdict, the trivial (constant-labelling) label, a
@@ -65,6 +67,10 @@ class LclTableD {
   /// Wraps an existing 2D table as a 2-dimensional LclTableD (shared rows,
   /// no copy). The inverse direction of the d = 2 delegation.
   static LclTableD fromTable2D(LclTable table);
+  static LclTableD fromTable2D(std::shared_ptr<const LclTable> table);
+
+  /// The d = 2 slot mask naming the same directions as a 2D DepBit mask.
+  static std::uint32_t depsFrom2D(std::uint8_t deps);
 
   /// Block-diagonal composition (the Section 6 disjoint union), dimensions
   /// must match; every slot becomes relevant, as in 2D.
@@ -148,7 +154,9 @@ class LclTableD {
 
   /// Content fingerprint: FNV-1a over (dims, sigma, deps, rows). Tables
   /// with equal content hash equal whichever construction path built them;
-  /// the deps mask is part of the content, as in 2D.
+  /// the deps mask is part of the content, as in 2D. A d = 2 table reports
+  /// its delegated LclTable's fingerprint, so a 2D relation has one
+  /// fingerprint whichever front end compiled it.
   std::uint64_t fingerprint() const { return fingerprint_; }
 
   /// Exact (dims, sigma, deps, rows) equality -- what fingerprint()

@@ -6,7 +6,7 @@
 // run on it zero-copy. The streaming entry points walk the mapping in slabs
 // of axis-0 rows with a rolling window:
 //
-//  * the kernel reads rows [slab - 1, slab + 1] (2D) or the neighbour-line
+//  * the kernel reads rows [slab - 1, slab + 1] (d = 2) or the neighbour-line
 //    window of the outer axes (d >= 3), checking each row just before its
 //    first use, so an out-of-range label never indexes a table row: a
 //    verify pass answers infeasible, a count pass restarts on the
@@ -23,7 +23,9 @@
 // A file is verified through verify(VerifyRequest) (lcl/verify_api.hpp)
 // with VerifyRequest::file or ::labellingPath set; the engine builds the
 // pass (engine/shard_detail.hpp), running each slab inline or sharded
-// across the work-stealing pool.
+// across the work-stealing pool. A 2D problem streams as its d = 2 form
+// (GridLcl::asGridLclD), so one set of streaming rules covers every
+// dimension.
 #pragma once
 
 #include <cstdint>
@@ -32,7 +34,6 @@
 #include <span>
 #include <string>
 
-#include "lcl/grid_lcl.hpp"
 #include "lcl/grid_lcl_d.hpp"
 #include "support/mmap_file.hpp"
 
@@ -220,19 +221,16 @@ struct StreamPass {
 std::int64_t runStreamPass(const StreamPass& pass, bool stopAtFirst);
 
 /// Kernel tier of a streaming table path, one per pass so thread counts
-/// cannot diverge. 2D mirrors the in-core selection
-/// (verifier_detail::bitsliceSelected); d >= 3 stays on the row-pointer
-/// kernel -- the staged d >= 3 bit-sliced path needs the whole labelling
-/// transposed into plane buffers, which is exactly the full-grid
-/// allocation streaming exists to avoid. (A d = 2 GridLclD delegates to
-/// the 2D rolling kernel, which streams fine.)
-bool streamUsesBitslice(const StreamLabelling& file, const GridLcl& lcl);
+/// cannot diverge. d = 2 (every 2D problem streams as its d = 2 form)
+/// mirrors the in-core selection (verifier_detail::bitsliceSelected): its
+/// rolling row kernel reads the raw labels. d >= 3 stays on the
+/// row-pointer kernel -- the staged d >= 3 bit-sliced path needs the whole
+/// labelling transposed into plane buffers, which is exactly the full-grid
+/// allocation streaming exists to avoid.
 bool streamUsesBitslice(const StreamLabelling& file, const GridLclD& lcl);
 
 /// Validation of a file against the problem: dims/sigma mismatches throw
-/// std::invalid_argument; 2D additionally requires the node count to fit
-/// Torus2D's int indexing.
-void checkStream2D(const StreamLabelling& file, const GridLcl& lcl);
+/// std::invalid_argument. Node ids are 64-bit on every dimension.
 void checkStreamD(const StreamLabelling& file, const GridLclD& lcl);
 
 }  // namespace stream_verify_detail

@@ -4,7 +4,8 @@
 //
 // This header holds two things:
 //  * diagnostics (listViolations / renderLabelling) -- per-node reports with
-//    coordinates and label names, for tests and debugging;
+//    coordinates and label names, for tests and debugging; listViolations
+//    is also the tests' independent oracle on both torus families;
 //  * the kernel slices (verifier_detail) of the three in-core tiers (see
 //    docs/perf.md for the selection rules and measurements):
 //     - functional -- the predicate loop, for uncompiled problems, and
@@ -14,6 +15,11 @@
 //       bit-planes (lcl/label_planes.hpp) and one uint64_t operation
 //       decides 64 nodes, via the plan the table synthesised at compile
 //       time. Every tier produces identical counts.
+//
+// The slices are d-dimensional, over axis-0 lines of a TorusD. A 2D
+// problem runs as its d = 2 form (GridLcl::asGridLclD), whose table and
+// bit-sliced line slices delegate to the 2D row kernels
+// (tableViolationRows, bitsliceViolationRows) on the shared LclTable.
 //
 // Verification itself -- tier selection, sharding, batches and streaming
 // -- is verify(VerifyRequest) in lcl/verify_api.hpp, which runs these
@@ -73,13 +79,6 @@ std::int64_t tableViolationRows(const LclTable& table, int n,
                                 const int* labels, int yBegin, int yEnd,
                                 bool stopAtFirst);
 
-/// True iff in-range labellings of this problem at this instance size run
-/// the bit-sliced kernel: the compiled table carries a plan, the global
-/// gate is on and the labelling clears the per-call setup floor
-/// (bitslice::kMinNodesForBitslice). The engine's tier selection and the
-/// streaming tier key their choice on this.
-bool bitsliceSelected(const GridLcl& lcl, long long nodes);
-
 /// Violations of the bit-sliced kernel on grid rows [yBegin, yEnd) of an
 /// nRows x n row-major labelling (rows wrap cyclically), or kOutOfRange;
 /// the table must carry a plan. Rows are transposed into rolling
@@ -89,11 +88,6 @@ bool bitsliceSelected(const GridLcl& lcl, long long nodes);
 std::int64_t bitsliceViolationRows(const LclTable& table, int n, int nRows,
                                    const int* labels, int yBegin, int yEnd,
                                    bool stopAtFirst);
-
-/// Violations of the functional fallback on nodes [vBegin, vEnd).
-std::int64_t functionalViolationRange(const Torus2D& torus, const GridLcl& lcl,
-                                      std::span<const int> labels, int vBegin,
-                                      int vEnd, bool stopAtFirst);
 
 /// d-dimensional slices (src/lcl/verifier_d.cpp). A "line" is a contiguous
 /// run of n nodes along axis 0; lines are indexed row-major over the outer
@@ -144,7 +138,11 @@ std::int64_t bitsliceViolationLinesD(const LclTableD& table,
                                      const int* labels, long long lineBegin,
                                      long long lineEnd, bool stopAtFirst);
 
-/// Violations of the functional fallback on nodes [vBegin, vEnd).
+/// Violations of the functional fallback on nodes [vBegin, vEnd), walked
+/// along axis-0 lines (the range may start and end mid-line). An
+/// out-of-alphabet centre is a violated node; every other node is judged
+/// by GridLclD::allows, which sends out-of-range neighbours to the
+/// problem's predicate.
 std::int64_t functionalViolationRangeD(const TorusD& torus,
                                        const GridLclD& lcl,
                                        std::span<const int> labels,

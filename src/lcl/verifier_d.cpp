@@ -3,10 +3,12 @@
 // nodes are walked one axis-0 line (n contiguous labels) at a time, with
 // one neighbour line pointer per outer axis recomputed per line, so the
 // inner loop is 2d loads, one table-row load and a bit test per node, no
-// TorusD::step and no per-node allocation. d = 2 routes through the proven
-// 2D row kernel on the delegated LclTable (one 2D code path in the
-// library). verify(VerifyRequest) (engine/verify_api.cpp) runs these
-// slices serially or sharded across a pool.
+// TorusD::step and no per-node allocation; the functional fallback walks
+// the same lines. d = 2 routes through the proven 2D row kernel on the
+// delegated LclTable (one 2D code path in the library); every 2D request
+// runs here as d = 2. verify(VerifyRequest) (engine/verify_api.cpp) runs
+// these slices serially or sharded across a pool.
+#include <algorithm>
 #include <bit>
 #include <sstream>
 #include <stdexcept>
@@ -20,6 +22,34 @@ namespace lclgrid {
 namespace {
 
 using verifier_detail::kOutOfRange;
+
+/// lineStride[a] = n^(a-1): the distance in line space of a +1 step along
+/// outer axis a (axis 1 is the fastest-varying line coordinate); entry 0
+/// is unused.
+std::vector<long long> outerLineStrides(int dims, int n) {
+  std::vector<long long> lineStride(static_cast<std::size_t>(dims), 0);
+  long long stride = 1;
+  for (int a = 1; a < dims; ++a) {
+    lineStride[static_cast<std::size_t>(a)] = stride;
+    stride *= n;
+  }
+  return lineStride;
+}
+
+/// Calls f(a, pos, neg) for every outer axis a in [1, dims) with the lines
+/// one step from `line` along +a and -a, cyclically.
+template <typename F>
+void forEachOuterNeighbour(long long line, int n,
+                           const std::vector<long long>& lineStride, F&& f) {
+  long long rem = line;
+  for (std::size_t a = 1; a < lineStride.size(); ++a) {
+    const long long ls = lineStride[a];
+    const int coord = static_cast<int>(rem % n);
+    rem /= n;
+    f(static_cast<int>(a), line + (coord + 1 == n ? ls * (1 - n) : ls),
+      line + (coord == 0 ? ls * (n - 1) : -ls));
+  }
+}
 
 /// Table-driven kernel over axis-0 lines [lineBegin, lineEnd) of one
 /// labelling, or kOutOfRange. Every neighbour line of line L lies within
@@ -58,30 +88,20 @@ std::int64_t tableViolationLines(const LclTableD& table, const TorusD& torus,
   const int dims = torus.dims();
   const std::size_t* strides = table.slotStrides();
   const std::uint64_t* rows = table.rowData();
-  // lineStride[a] = n^(a-1): the distance in line space of a +1 step along
-  // outer axis a (axis 1 is the fastest-varying line coordinate).
-  std::vector<long long> lineStride(static_cast<std::size_t>(dims), 0);
-  long long stride = 1;
-  for (int a = 1; a < dims; ++a) {
-    lineStride[static_cast<std::size_t>(a)] = stride;
-    stride *= n;
-  }
+  const std::vector<long long> lineStride = outerLineStrides(dims, n);
   std::vector<const int*> posLine(static_cast<std::size_t>(dims), nullptr);
   std::vector<const int*> negLine(static_cast<std::size_t>(dims), nullptr);
   std::int64_t bad = 0;
   for (long long line = lineBegin; line < lineEnd; ++line) {
     if (!whole && !lineOk(line + block)) return kOutOfRange;
     const int* row = labels + line * n;
-    long long rem = line;
-    for (int a = 1; a < dims; ++a) {
-      const long long ls = lineStride[static_cast<std::size_t>(a)];
-      const int coord = static_cast<int>(rem % n);
-      rem /= n;
-      posLine[static_cast<std::size_t>(a)] =
-          labels + (line + (coord + 1 == n ? ls * (1 - n) : ls)) * n;
-      negLine[static_cast<std::size_t>(a)] =
-          labels + (line + (coord == 0 ? ls * (n - 1) : -ls)) * n;
-    }
+    forEachOuterNeighbour(line, n, lineStride,
+                          [&](int a, long long pos, long long neg) {
+                            posLine[static_cast<std::size_t>(a)] =
+                                labels + pos * n;
+                            negLine[static_cast<std::size_t>(a)] =
+                                labels + neg * n;
+                          });
     for (int x = 0; x < n; ++x) {
       std::size_t index =
           strides[0] * static_cast<std::size_t>(row[x + 1 == n ? 0 : x + 1]) +
@@ -119,12 +139,7 @@ std::int64_t planesLineViolations(const bitslice::BitslicePlanD& plan,
   const int B = plan.planes;
   const std::size_t W = planes.wordsPerRow();
   const std::uint64_t tail = bitslice::rowTailMask(n);
-  std::vector<long long> lineStride(static_cast<std::size_t>(dims), 0);
-  long long stride = 1;
-  for (int a = 1; a < dims; ++a) {
-    lineStride[static_cast<std::size_t>(a)] = stride;
-    stride *= n;
-  }
+  const std::vector<long long> lineStride = outerLineStrides(dims, n);
   std::vector<std::uint64_t> store((static_cast<std::size_t>(B) + 3) * W);
   std::uint64_t* shiftP = store.data();  // east-shifted planes of the line
   std::uint64_t* strmA = shiftP + static_cast<std::size_t>(B) * W;
@@ -140,20 +155,15 @@ std::int64_t planesLineViolations(const bitslice::BitslicePlanD& plan,
     plan.axes[0].eval(curP, shiftP, W, strmA);  // bit x = P0(c[x], c[x+1])
     bitslice::shiftDownCyclic(strmA, strmB, n);  // bit x = P0(c[x-1], c[x])
     for (std::size_t w = 0; w < W; ++w) okAcc[w] = strmA[w] & strmB[w];
-    long long rem = line;
-    for (int a = 1; a < dims; ++a) {
-      const long long ls = lineStride[static_cast<std::size_t>(a)];
-      const int coord = static_cast<int>(rem % n);
-      rem /= n;
-      const long long pos = line + (coord + 1 == n ? ls * (1 - n) : ls);
-      const long long neg = line + (coord == 0 ? ls * (n - 1) : -ls);
-      plan.axes[static_cast<std::size_t>(a)].eval(curP, planes.row(pos), W,
-                                                  strmA);
-      for (std::size_t w = 0; w < W; ++w) okAcc[w] &= strmA[w];
-      plan.axes[static_cast<std::size_t>(a)].eval(planes.row(neg), curP, W,
-                                                  strmA);
-      for (std::size_t w = 0; w < W; ++w) okAcc[w] &= strmA[w];
-    }
+    forEachOuterNeighbour(
+        line, n, lineStride, [&](int a, long long pos, long long neg) {
+          const bitslice::PairNetwork& axis =
+              plan.axes[static_cast<std::size_t>(a)];
+          axis.eval(curP, planes.row(pos), W, strmA);
+          for (std::size_t w = 0; w < W; ++w) okAcc[w] &= strmA[w];
+          axis.eval(planes.row(neg), curP, W, strmA);
+          for (std::size_t w = 0; w < W; ++w) okAcc[w] &= strmA[w];
+        });
     for (std::size_t w = 0; w < W; ++w) {
       const std::uint64_t violated =
           ~okAcc[w] & (w + 1 == W ? tail : ~std::uint64_t{0});
@@ -167,31 +177,53 @@ std::int64_t planesLineViolations(const bitslice::BitslicePlanD& plan,
 }
 
 /// Fallback for uncompiled problems or out-of-alphabet labels, over nodes
-/// [vBegin, vEnd): TorusD::step per neighbour, GridLclD::allows per node.
+/// [vBegin, vEnd), walked one axis-0 line at a time like the table kernel:
+/// the outer-axis neighbour line pointers are computed once per line and
+/// the axis-0 neighbours wrap within the line, so no TorusD::step runs per
+/// node. An out-of-alphabet centre is a violated node; GridLclD::allows
+/// judges the rest. The range may start and end mid-line.
 template <bool StopAtFirst>
 std::int64_t functionalViolations(const TorusD& torus, const GridLclD& lcl,
                                   std::span<const int> labels,
                                   long long vBegin, long long vEnd) {
+  const int n = torus.n();
   const int dims = torus.dims();
+  const int* base = labels.data();
+  const std::vector<long long> lineStride = outerLineStrides(dims, n);
+  std::vector<const int*> posLine(static_cast<std::size_t>(dims), nullptr);
+  std::vector<const int*> negLine(static_cast<std::size_t>(dims), nullptr);
   std::vector<int> nbrs(static_cast<std::size_t>(2 * dims), 0);
   std::int64_t bad = 0;
-  for (long long v = vBegin; v < vEnd; ++v) {
-    const int c = labels[static_cast<std::size_t>(v)];
-    bool violated;
-    if (c < 0 || c >= lcl.sigma()) {
-      violated = true;
-    } else {
-      for (int a = 0; a < dims; ++a) {
-        nbrs[static_cast<std::size_t>(2 * a)] =
-            labels[static_cast<std::size_t>(torus.step(v, a, true))];
-        nbrs[static_cast<std::size_t>(2 * a + 1)] =
-            labels[static_cast<std::size_t>(torus.step(v, a, false))];
+  for (long long line = vBegin / n; line * n < vEnd; ++line) {
+    const long long first = line * n;
+    const int* row = base + first;
+    forEachOuterNeighbour(line, n, lineStride,
+                          [&](int a, long long pos, long long neg) {
+                            posLine[static_cast<std::size_t>(a)] =
+                                base + pos * n;
+                            negLine[static_cast<std::size_t>(a)] =
+                                base + neg * n;
+                          });
+    const int xBegin = static_cast<int>(std::max(vBegin - first, 0LL));
+    const int xEnd = static_cast<int>(std::min<long long>(vEnd - first, n));
+    for (int x = xBegin; x < xEnd; ++x) {
+      const int c = row[x];
+      bool violated = true;
+      if (c >= 0 && c < lcl.sigma()) {
+        nbrs[0] = row[x + 1 == n ? 0 : x + 1];
+        nbrs[1] = row[x == 0 ? n - 1 : x - 1];
+        for (int a = 1; a < dims; ++a) {
+          nbrs[static_cast<std::size_t>(2 * a)] =
+              posLine[static_cast<std::size_t>(a)][x];
+          nbrs[static_cast<std::size_t>(2 * a + 1)] =
+              negLine[static_cast<std::size_t>(a)][x];
+        }
+        violated = !lcl.allows(c, nbrs);
       }
-      violated = !lcl.allows(c, nbrs);
-    }
-    if (violated) {
-      if constexpr (StopAtFirst) return 1;
-      ++bad;
+      if (violated) {
+        if constexpr (StopAtFirst) return 1;
+        ++bad;
+      }
     }
   }
   return bad;

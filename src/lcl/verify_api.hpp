@@ -5,12 +5,19 @@
 // pool-sharded or out-of-core streaming) and dispatches:
 //
 //   VerifyRequest request;
-//   request.problem = &lcl;            // or problemD, or a fingerprint +
-//   request.torus = &torus;            //   resolver (the service's idiom)
+//   request.problem = &lcl;            // or problemD (with torusD)
+//   request.torus = &torus;
 //   request.labels = labels;           // one labelling, or a back-to-back
 //   request.options.countViolations = true;       //   batch, or a file
 //   VerifyResult result = verify(request);
 //   // result.feasible, result.violations, result.tier, result.nanos
+//
+// 2D is d = 2: verify() lifts a 2D request once, at the front door, to its
+// d = 2 form (GridLcl::asGridLclD on a TorusD(2, n)), and from there only
+// the d-dimensional engine runs -- one set of tier, sharding and streaming
+// rules, whose d = 2 slices delegate to the 2D row kernels. The lift shares
+// the compiled table and keeps the 2D predicate's verdicts, so counts,
+// tiers and the fingerprint (LclTable::fingerprint()) are the 2D ones.
 //
 // Semantics: verify-mode early-exits at the first violation (first
 // violating 64-node word on the bit-sliced tier, first violating shard
@@ -46,7 +53,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <string>
 #include <vector>
@@ -84,16 +90,9 @@ struct VerifyOptions {
 };
 
 struct VerifyRequest {
-  // --- problem reference: exactly one of problem / problemD, or a
-  // fingerprint plus resolver ------------------------------------------------
+  // --- problem reference: exactly one of problem / problemD ----------------
   const GridLcl* problem = nullptr;
   const GridLclD* problemD = nullptr;
-  /// Table fingerprint of a previously seen problem; consulted only when
-  /// both problem pointers are null. `resolveFingerprint` maps it to a
-  /// live problem (the service's table cache is the canonical resolver);
-  /// an unresolvable fingerprint throws std::invalid_argument.
-  std::uint64_t fingerprint = 0;
-  std::function<const GridLcl*(std::uint64_t)> resolveFingerprint;
 
   // --- instance: inline labels over a torus, or an LCLLABv1 file ------------
   /// Geometry for inline labels (torus for GridLcl, torusD for GridLclD).
@@ -128,19 +127,21 @@ struct VerifyResult {
   /// recounted an out-of-range labelling there. Batches select (and fall
   /// back) per labelling and report the first labelling's tier.
   VerifyTier tier = VerifyTier::kFunctional;
-  /// Fingerprint of the problem's compiled table (0 when uncompiled).
+  /// Fingerprint of the problem's compiled table (0 when uncompiled); a
+  /// 2D problem reports LclTable::fingerprint().
   std::uint64_t fingerprint = 0;
   /// Wall time of the dispatch (excluding request validation), for the
   /// service's latency accounting.
   std::int64_t nanos = 0;
 };
 
-/// The one verification entry point: validates the request, resolves the
-/// problem and instance, selects (or honours the pinned) kernel tier and
-/// dispatches. Throws std::invalid_argument on malformed requests (no/
-/// ambiguous problem, missing instance, size or dimension mismatches,
-/// unsatisfiable tier pin) and std::runtime_error for unreadable labelling
-/// files. Counts are bit-identical across tiers and thread counts.
+/// The one verification entry point: validates the request, lifts a 2D
+/// request to d = 2, resolves the instance, selects (or honours the
+/// pinned) kernel tier and dispatches. Throws std::invalid_argument on
+/// malformed requests (no/ambiguous problem, missing instance, size or
+/// dimension mismatches, unsatisfiable tier pin) and std::runtime_error
+/// for unreadable labelling files. Counts are bit-identical across tiers
+/// and thread counts.
 VerifyResult verify(const VerifyRequest& request);
 
 // --- single-labelling conveniences ------------------------------------------

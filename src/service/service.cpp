@@ -298,45 +298,66 @@ void bump(std::atomic<std::int64_t>& counter) {
 VerificationService::ProblemCache::ProblemCache(std::size_t capacity)
     : specs_(capacity, "service.problem_cache"),
       specsD_(capacity, "service.problem_cache_d") {
-  // Keep the fingerprint index consistent with the LRU: an evicted problem
-  // must stop resolving by fingerprint (the index would otherwise pin its
-  // memory forever and grow without bound).
-  specs_.setEvictionCallback(
-      [this](const std::string&, const std::shared_ptr<const GridLcl>& lcl) {
-        if (!lcl->hasTable()) return;
-        const auto it = fingerprints_.find(lcl->table().fingerprint());
-        if (it != fingerprints_.end() && it->second.get() == lcl.get()) {
-          fingerprints_.erase(it);
-        }
-      });
+  // Keep the fingerprint index consistent with the LRUs: an evicted problem
+  // must stop resolving by fingerprint (the index would otherwise grow
+  // without bound).
+  const auto unindex = [this](const std::string& spec, const auto& lcl) {
+    if (!lcl->hasTable()) return;
+    const auto it = fingerprints_.find(lcl->table().fingerprint());
+    if (it != fingerprints_.end() && it->second == spec) {
+      fingerprints_.erase(it);
+    }
+  };
+  specs_.setEvictionCallback(unindex);
+  specsD_.setEvictionCallback(unindex);
 }
 
-std::shared_ptr<const GridLcl> VerificationService::ProblemCache::bySpec(
-    const std::string& spec) {
-  std::lock_guard lock(mutex_);
-  if (std::optional hit = specs_.get(spec)) return *hit;
-  auto built = std::make_shared<const GridLcl>(buildProblem(spec));
-  specs_.put(spec, built);
-  if (built->hasTable()) {
-    fingerprints_[built->table().fingerprint()] = built;
+VerificationService::ProblemCache::Problem
+VerificationService::ProblemCache::lookup(const std::string& spec,
+                                          bool build) {
+  Problem problem;
+  if (isProblemDSpec(spec)) {
+    if (std::optional hit = specsD_.get(spec)) {
+      problem.lclD = *hit;
+    } else if (build) {
+      problem.lclD = std::make_shared<const GridLclD>(buildProblemD(spec));
+      specsD_.put(spec, problem.lclD);
+    }
+  } else if (std::optional hit = specs_.get(spec)) {
+    problem.lcl = *hit;
+  } else if (build) {
+    problem.lcl = std::make_shared<const GridLcl>(buildProblem(spec));
+    specs_.put(spec, problem.lcl);
   }
-  return built;
+  return problem;
 }
 
-std::shared_ptr<const GridLclD> VerificationService::ProblemCache::bySpecD(
-    const std::string& spec) {
+VerificationService::ProblemCache::Problem
+VerificationService::ProblemCache::get(ProblemRefKind ref,
+                                       const std::string& spec,
+                                       std::uint64_t fingerprint) {
   std::lock_guard lock(mutex_);
-  if (std::optional hit = specsD_.get(spec)) return *hit;
-  auto built = std::make_shared<const GridLclD>(buildProblemD(spec));
-  specsD_.put(spec, built);
-  return built;
-}
-
-std::shared_ptr<const GridLcl>
-VerificationService::ProblemCache::byFingerprint(std::uint64_t fingerprint) {
-  std::lock_guard lock(mutex_);
-  const auto it = fingerprints_.find(fingerprint);
-  return it == fingerprints_.end() ? nullptr : it->second;
+  if (ref == ProblemRefKind::kFingerprint) {
+    const auto it = fingerprints_.find(fingerprint);
+    if (it == fingerprints_.end()) {
+      throw std::invalid_argument(
+          "service: unknown problem fingerprint (not in the cache; send the "
+          "spec once first)");
+    }
+    return lookup(it->second, /*build=*/false);
+  }
+  Problem problem = lookup(spec, /*build=*/true);
+  // Indexed on every spec reference, not only on a build: two specs may
+  // compile to one relation (vc:4 and vcd:2:4, whose d = 2 forms share a
+  // fingerprint), and the index follows the one named last. Uncompiled
+  // problems have no fingerprint; with capacity 0 nothing is cached, so
+  // nothing is indexed.
+  const GridLclD& lifted =
+      problem.lcl ? problem.lcl->asGridLclD() : *problem.lclD;
+  if (lifted.hasTable() && specs_.capacity() > 0) {
+    fingerprints_.insert_or_assign(lifted.table().fingerprint(), spec);
+  }
+  return problem;
 }
 
 support::LruStats VerificationService::ProblemCache::stats() const {
@@ -817,29 +838,17 @@ bool VerificationService::sheddingNow() const {
 
 VerifyResultFrame VerificationService::runVerify(
     const VerifyRequestFrame& frame, bool shedActive) {
-  VerifyRequest request;
-  // The shared_ptrs keep cached problems alive across a concurrent
-  // eviction for the duration of the call.
-  std::shared_ptr<const GridLcl> held;
-  std::shared_ptr<const GridLclD> heldD;
-  if (frame.problemRef == ProblemRefKind::kFingerprint) {
-    held = problems_.byFingerprint(frame.fingerprint);
-    if (!held) {
-      throw std::invalid_argument(
-          "service: unknown problem fingerprint (not in the cache; send the "
-          "spec once first)");
-    }
-    request.problem = held.get();
-  } else if (isCycleSpec(frame.spec)) {
+  if (frame.problemRef == ProblemRefKind::kSpec && isCycleSpec(frame.spec)) {
     throw std::invalid_argument(
         "service: cycle problems take classify requests, not verify");
-  } else if (isProblemDSpec(frame.spec)) {
-    heldD = problems_.bySpecD(frame.spec);
-    request.problemD = heldD.get();
-  } else {
-    held = problems_.bySpec(frame.spec);
-    request.problem = held.get();
   }
+  // The shared_ptrs keep the cached problem alive across a concurrent
+  // eviction for the duration of the call.
+  const ProblemCache::Problem held =
+      problems_.get(frame.problemRef, frame.spec, frame.fingerprint);
+  VerifyRequest request;
+  request.problem = held.lcl.get();
+  request.problemD = held.lclD.get();
   request.options.tier = static_cast<TierPin>(frame.tierPin);
   request.options.countViolations = frame.countViolations;
   // Graceful degradation: under shed pressure a countViolations request
@@ -901,24 +910,22 @@ std::string VerificationService::runClassify(
   options.reportCache = &reports_;
   engine::ClassifyResult result;
   const char* engineName = "grid";
-  if (frame.problemRef == ProblemRefKind::kFingerprint) {
-    const std::shared_ptr<const GridLcl> held =
-        problems_.byFingerprint(frame.fingerprint);
-    if (!held) {
-      throw std::invalid_argument(
-          "service: unknown problem fingerprint (not in the cache; send the "
-          "spec once first)");
-    }
-    result = engine::classify(*held, options);
-  } else if (isCycleSpec(frame.spec)) {
+  const bool bySpec = frame.problemRef == ProblemRefKind::kSpec;
+  if (bySpec && isCycleSpec(frame.spec)) {
     result = engine::classify(buildCycleProblem(frame.spec), options);
     engineName = "cycle";
-  } else if (isProblemDSpec(frame.spec)) {
-    throw std::invalid_argument(
-        "service: classification covers 2D grid and cycle problems");
   } else {
-    const std::shared_ptr<const GridLcl> held = problems_.bySpec(frame.spec);
-    result = engine::classify(*held, options);
+    // A d-dimensional spec is refused before it is built; a fingerprint
+    // once it has resolved to one.
+    const ProblemCache::Problem held =
+        bySpec && isProblemDSpec(frame.spec)
+            ? ProblemCache::Problem{}
+            : problems_.get(frame.problemRef, frame.spec, frame.fingerprint);
+    if (held.lcl == nullptr) {
+      throw std::invalid_argument(
+          "service: classification covers 2D grid and cycle problems");
+    }
+    result = engine::classify(*held.lcl, options);
   }
   JsonWriter json;
   json.beginObject();

@@ -182,24 +182,36 @@ class VerificationService {
         timeouts{0}, shedDowngrades{0}, shedAdmission{0};
   };
 
-  /// Compiled problems by spec string, with a fingerprint index maintained
-  /// through the LRU's eviction callback (so fingerprint refs only resolve
-  /// while the problem is cached). 2D problems only in the fingerprint
-  /// index -- VerifyRequest's resolver is 2D, matching the service contract.
+  /// Compiled problems by spec string (one LRU per grid family), with an
+  /// index from each cached problem's fingerprint to the spec that built
+  /// it, kept consistent through the LRUs' eviction callbacks. A
+  /// fingerprint reference resolves to that spec and continues as a spec
+  /// reference -- a hit that refreshes the problem's recency -- except that
+  /// it never builds: it resolves only while its problem is cached.
   class ProblemCache {
    public:
+    /// One cached problem: lcl for a 2D spec, lclD for a d-dimensional one.
+    struct Problem {
+      std::shared_ptr<const GridLcl> lcl;
+      std::shared_ptr<const GridLclD> lclD;
+    };
     explicit ProblemCache(std::size_t capacity);
-    std::shared_ptr<const GridLcl> bySpec(const std::string& spec);
-    std::shared_ptr<const GridLclD> bySpecD(const std::string& spec);
-    std::shared_ptr<const GridLcl> byFingerprint(std::uint64_t fingerprint);
+    /// The problem a request names: by grid spec (built on a miss) or by
+    /// fingerprint (an unknown or evicted one throws
+    /// std::invalid_argument).
+    Problem get(ProblemRefKind ref, const std::string& spec,
+                std::uint64_t fingerprint);
     support::LruStats stats() const;
 
    private:
+    /// The cached problem of `spec`, built on a miss when `build` (an empty
+    /// Problem otherwise). Runs under mutex_.
+    Problem lookup(const std::string& spec, bool build);
+
     mutable std::mutex mutex_;
     support::LruCache<std::string, std::shared_ptr<const GridLcl>> specs_;
     support::LruCache<std::string, std::shared_ptr<const GridLclD>> specsD_;
-    std::unordered_map<std::uint64_t, std::shared_ptr<const GridLcl>>
-        fingerprints_;
+    std::unordered_map<std::uint64_t, std::string> fingerprints_;
   };
 
   void acceptLoop();

@@ -183,12 +183,12 @@ TEST(PlanSynthesisBitslice, GateAndSizeFloorControlSelection) {
   const GridLcl lcl = problems::vertexColouring(4);
   const long long big = 1 << 20;
   bitslice::setEnabled(true);
-  EXPECT_TRUE(verifier_detail::bitsliceSelected(lcl, big));
+  EXPECT_TRUE(verifier_detail::bitsliceSelected(lcl.asGridLclD(), big));
   // Below the setup floor the row-pointer kernel stays selected.
   EXPECT_FALSE(verifier_detail::bitsliceSelected(
-      lcl, bitslice::kMinNodesForBitslice - 1));
+      lcl.asGridLclD(), bitslice::kMinNodesForBitslice - 1));
   bitslice::setEnabled(false);
-  EXPECT_FALSE(verifier_detail::bitsliceSelected(lcl, big));
+  EXPECT_FALSE(verifier_detail::bitsliceSelected(lcl.asGridLclD(), big));
 }
 
 TEST(BitsliceVerifier, DirectKernelMatchesTableOnTinyOddSides) {

@@ -7,15 +7,19 @@
 //  * per-axis pair projections and decomposability vs. brute force over
 //    the raw predicate,
 //  * disjointUnion / remap composition vs. predicate composition,
-//  * serial TorusD verification vs. a step-based reference, and
+//  * serial TorusD verification vs. a step-based reference,
+//  * the functional slice split at any node (2D problems via their d = 2
+//    form), and
 //  * parallel-verify determinism: counts bit-identical at 1/2/8 threads.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 #include <string>
 #include <vector>
 
 #include "engine/thread_pool.hpp"
+#include "grid/torus2d.hpp"
 #include "grid/torusd.hpp"
 #include "lcl/grid_lcl.hpp"
 #include "lcl/grid_lcl_d.hpp"
@@ -95,9 +99,17 @@ TEST(LclTableD, Dim2DelegationIsBitForBitTheLclTable) {
   const LclTable& delegated = *tableD.as2d();
   EXPECT_TRUE(delegated.sameContent(table2d));
   EXPECT_EQ(delegated.fingerprint(), table2d.fingerprint());
+  EXPECT_EQ(tableD.fingerprint(), table2d.fingerprint());
 
   // The D view shares the delegated rows rather than copying them.
   EXPECT_EQ(tableD.rowData(), delegated.rowData());
+  // So does the GridLcl's own d = 2 form, which copies share.
+  const GridLclD& form = flat.asGridLclD();
+  ASSERT_TRUE(form.hasTable());
+  EXPECT_EQ(form.table().rowData(), table2d.rowData());
+  EXPECT_EQ(form.table().fingerprint(), table2d.fingerprint());
+  const GridLcl copy = flat;
+  EXPECT_EQ(&copy.asGridLclD(), &form);
   ASSERT_EQ(tableD.rowCount(), table2d.rowCount());
   for (std::size_t i = 0; i < table2d.rowCount(); ++i) {
     EXPECT_EQ(tableD.rowData()[i], table2d.rowData()[i]);
@@ -398,6 +410,69 @@ TEST(VerifierD, BatchesMatchSingleCalls) {
   std::vector<int> ragged(batch.begin(), batch.end() - 1);
   EXPECT_THROW(verify_testing::batchCounts(torus, lcl, ragged),
                std::invalid_argument);
+}
+
+TEST(VerifierD, FunctionalSliceSplitsAnywhere) {
+  // The functional slice walks axis-0 lines but is sharded by node, so a
+  // range may start and end mid-line: [0, k) + [k, N) must equal the whole
+  // count for every k in the first two lines and at every line boundary.
+  // 2D problems run through their d = 2 form (one uncompiled: sigma = 70),
+  // with out-of-range labels planted at a line start, mid-line and a line
+  // end.
+  std::vector<GridLcl> flat = {problems::vertexColouring(3),
+                               problems::maximalIndependentSet(),
+                               problems::maximalMatching(),
+                               problems::noHorizontalOnePair()};
+  flat.emplace_back("big-colouring", 70, kDepAll,
+                    [](int c, int n, int e, int s, int w) {
+                      return c != n && c != e && c != s && c != w;
+                    });
+  EXPECT_FALSE(flat.back().asGridLclD().hasTable());
+  std::vector<const GridLclD*> problems;
+  for (const GridLcl& lcl : flat) problems.push_back(&lcl.asGridLclD());
+  const std::vector<GridLclD> registry = problemRegistryD();
+  for (const GridLclD& lcl : registry) problems.push_back(&lcl);
+
+  std::uint32_t seed = 77;
+  for (const GridLclD* lcl : problems) {
+    const int n = lcl->dims() <= 2 ? 7 : 5;
+    const TorusD torus(lcl->dims(), n);
+    auto labels = randomLabels(torus.size(), lcl->sigma(), seed++);
+    labels[0] = lcl->sigma();
+    labels[static_cast<std::size_t>(torus.size() / 2)] = -1;
+    labels[static_cast<std::size_t>(torus.size() - 1)] = lcl->sigma() + 5;
+    const long long size = torus.size();
+    const auto slice = [&](long long begin, long long end, bool stop) {
+      return verifier_detail::functionalViolationRangeD(torus, *lcl, labels,
+                                                        begin, end, stop);
+    };
+    const std::int64_t whole = slice(0, size, false);
+    EXPECT_EQ(whole, referenceCount(torus, *lcl, labels)) << lcl->name();
+    EXPECT_EQ(slice(0, size, true), whole > 0 ? 1 : 0) << lcl->name();
+    std::vector<long long> splits;
+    for (long long k = 0; k <= std::min<long long>(2 * n, size); ++k) {
+      splits.push_back(k);
+    }
+    for (long long k = 0; k <= size; k += n) splits.push_back(k);
+    for (long long k : splits) {
+      const std::int64_t head = slice(0, k, false);
+      const std::int64_t tail = slice(k, size, false);
+      EXPECT_EQ(head + tail, whole) << lcl->name() << " k=" << k;
+      EXPECT_EQ(slice(0, k, true), head > 0 ? 1 : 0) << lcl->name();
+      EXPECT_EQ(slice(k, size, true), tail > 0 ? 1 : 0) << lcl->name();
+    }
+  }
+  // The 2D oracle agrees with the d = 2 form's count.
+  for (const GridLcl& lcl : flat) {
+    const Torus2D torus(7);
+    auto labels = randomLabels(torus.size(), lcl.sigma(), seed++);
+    labels[10] = lcl.sigma();
+    const std::int64_t count = verifier_detail::functionalViolationRangeD(
+        TorusD(2, 7), lcl.asGridLclD(), labels, 0, torus.size(), false);
+    EXPECT_EQ(static_cast<std::size_t>(count),
+              listViolations(torus, lcl, labels, torus.size()).size())
+        << lcl.name();
+  }
 }
 
 TEST(VerifierD, DimensionMismatchThrows) {

@@ -211,7 +211,9 @@ TEST(ServiceDaemon, VerifyMatchesLocalEngine) {
 }
 
 TEST(ServiceDaemon, FingerprintReferenceAndUnknownFingerprint) {
-  VerificationService daemon(testConfig());
+  ServiceConfig config = testConfig();
+  config.problemCacheCapacity = 2;
+  VerificationService daemon(config);
   daemon.start();
   ServiceClient client = ServiceClient::connectTcp(daemon.port());
   const int n = 6;
@@ -226,14 +228,68 @@ TEST(ServiceDaemon, FingerprintReferenceAndUnknownFingerprint) {
   ASSERT_TRUE(cached.has_value());
   EXPECT_EQ(cached->feasible, bySpec->feasible);
 
-  byFingerprint.fingerprint ^= 1;
-  try {
-    (void)client.verify(byFingerprint);
-    FAIL() << "expected RemoteError";
-  } catch (const service::RemoteError& error) {
-    EXPECT_NE(std::string(error.what()).find("unknown problem fingerprint"),
-              std::string::npos);
-  }
+  const auto expectRemoteError = [&](const auto& send, const char* what) {
+    try {
+      (void)send();
+      FAIL() << "expected RemoteError: " << what;
+    } catch (const service::RemoteError& error) {
+      EXPECT_NE(std::string(error.what()).find(what), std::string::npos)
+          << error.what();
+    }
+  };
+  const auto verifyBy = [&](std::uint64_t fingerprint) {
+    service::VerifyRequestFrame frame = byFingerprint;
+    frame.fingerprint = fingerprint;
+    return [&client, frame] { return client.verify(frame); };
+  };
+  expectRemoteError(verifyBy(bySpec->fingerprint ^ 1),
+                    "unknown problem fingerprint");
+
+  // A d-dimensional problem resolves by fingerprint too; classifying it
+  // that way answers the 2D-only classification error.
+  const std::vector<int> zeros(4 * 4 * 4, 0);
+  service::VerifyRequestFrame frameD = verifyFrame("vcd:3:4", 4, zeros);
+  frameD.dims = 3;
+  const auto bySpecD = client.verify(frameD);
+  ASSERT_TRUE(bySpecD.has_value());
+  frameD.problemRef = service::ProblemRefKind::kFingerprint;
+  frameD.fingerprint = bySpecD->fingerprint;
+  frameD.spec.clear();
+  const auto cachedD = client.verify(frameD);
+  ASSERT_TRUE(cachedD.has_value());
+  EXPECT_EQ(cachedD->violations, bySpecD->violations);
+  EXPECT_EQ(cachedD->fingerprint, bySpecD->fingerprint);
+  service::ClassifyRequestFrame classifyD;
+  classifyD.problemRef = service::ProblemRefKind::kFingerprint;
+  classifyD.fingerprint = bySpecD->fingerprint;
+  expectRemoteError([&] { return client.classify(classifyD); },
+                    "classification covers 2D grid and cycle problems");
+
+  // A fingerprint reference is a use: it counts as a problem-cache hit and
+  // refreshes recency, so the problem in constant use by fingerprint is not
+  // the one evicted (capacity 2: vc:4, vc:3, then vc:5 evicts vc:3).
+  const auto cacheHits = [&] {
+    const auto stats = client.stats();
+    return support::parseJson(stats.value())
+        .at("service")
+        .at("problem_cache")
+        .at("hits")
+        .asInt();
+  };
+  const auto vc3 = client.verify(verifyFrame("vc:3", n, labels));
+  ASSERT_TRUE(vc3.has_value());
+  const long long hitsBefore = cacheHits();
+  ASSERT_TRUE(verifyBy(bySpec->fingerprint)().has_value());
+  EXPECT_EQ(cacheHits(), hitsBefore + 1);
+  ASSERT_TRUE(client.verify(verifyFrame("vc:5", n, labels)).has_value());
+  const auto stillCached = verifyBy(bySpec->fingerprint)();
+  ASSERT_TRUE(stillCached.has_value());
+  EXPECT_EQ(stillCached->violations, bySpec->violations);
+  // The evicted problem answers "resend the spec"; resending rebuilds it.
+  expectRemoteError(verifyBy(vc3->fingerprint),
+                    "unknown problem fingerprint");
+  ASSERT_TRUE(client.verify(verifyFrame("vc:3", n, labels)).has_value());
+  ASSERT_TRUE(verifyBy(vc3->fingerprint)().has_value());
   daemon.stop();
 }
 

@@ -298,10 +298,12 @@ TEST(StreamVerify, MatchesInCoreWithBitsliceOnAndOff) {
   StreamLabelling mapped(file.str());
   bitslice::setEnabled(false);
   const std::int64_t viaTable = streamCount(mapped, lcl);
-  EXPECT_FALSE(stream_verify_detail::streamUsesBitslice(mapped, lcl));
+  EXPECT_FALSE(
+      stream_verify_detail::streamUsesBitslice(mapped, lcl.asGridLclD()));
   const std::int64_t reference = referenceCount(torus, lcl, labels);
   bitslice::setEnabled(true);
-  EXPECT_TRUE(stream_verify_detail::streamUsesBitslice(mapped, lcl));
+  EXPECT_TRUE(
+      stream_verify_detail::streamUsesBitslice(mapped, lcl.asGridLclD()));
   EXPECT_EQ(viaTable, reference);
   EXPECT_EQ(streamCount(mapped, lcl), reference);
 }

@@ -454,27 +454,6 @@ TEST(VerifyApi, StreamRequestsMatchStreamOverloads) {
   std::remove(path.c_str());
 }
 
-TEST(VerifyApi, FingerprintResolver) {
-  const Torus2D torus(6);
-  const GridLcl problem = problems::maximalMatching();
-  const std::vector<int> labels = randomLabels(
-      problem.sigma(), static_cast<std::size_t>(torus.size()), 5);
-  VerifyRequest request;
-  request.fingerprint = problem.table().fingerprint();
-  request.resolveFingerprint = [&problem](std::uint64_t fingerprint) {
-    return fingerprint == problem.table().fingerprint() ? &problem : nullptr;
-  };
-  request.torus = &torus;
-  request.labels = labels;
-  request.options.countViolations = true;
-  EXPECT_EQ(verify(request).violations, referenceCount(torus, problem, labels));
-
-  request.fingerprint ^= 1;  // unknown
-  EXPECT_THROW(verify(request), std::invalid_argument);
-  request.resolveFingerprint = nullptr;  // no resolver at all
-  EXPECT_THROW(verify(request), std::invalid_argument);
-}
-
 TEST(VerifyApi, MalformedRequestsThrow) {
   const Torus2D torus(4);
   const TorusD torusD(3, 3);
