@@ -15,7 +15,9 @@ class ThreadPool;
 
 /// Worker lanes used when EngineOptions::threads == 0: the LCLGRID_THREADS
 /// environment variable if set to a positive integer, otherwise
-/// std::thread::hardware_concurrency() (at least 1).
+/// std::thread::hardware_concurrency() (at least 1). Computed once per
+/// process, on the first call: a later change to LCLGRID_THREADS has no
+/// effect.
 int defaultThreads();
 
 struct EngineOptions {
@@ -28,7 +30,7 @@ struct EngineOptions {
   /// Work items per chunk: grid rows for single-labelling verification (on
   /// every code path -- the node-indexed fallback scales the row grain
   /// internally), labellings for batch requests. FamilySweep
-  /// always runs one problem per task regardless (a slow classification
+  /// always runs one problem per chunk regardless (a slow classification
   /// must not serialise chunk-mates).
   /// 0 picks a size that yields a few chunks per lane -- that auto size
   /// depends on the lane count, which is harmless for the verifier's

@@ -106,9 +106,10 @@ SweepReport sweepFamily(std::span<const GridLcl> family,
   oracleRunCounter.add(report.oracleRuns);
   cacheHitCounter.add(report.cacheHits);
 
-  // One oracle run per unique problem, one job per pool task. grain 1: a
+  // One oracle run per unique problem, one per pool chunk. grain 1: a
   // single slow classification (a deep synthesis loop) must not serialise
-  // its chunk-mates, and the work-stealing deques rebalance the rest.
+  // its chunk-mates; the other lanes keep claiming chunks in family order
+  // around it.
   PoolHandle handle(options.engine);
   report.threads = handle.pool().lanes();
   handle.pool().parallelFor(

@@ -1,6 +1,6 @@
 // The concurrent family sweep driver: runs the Section 7 oracle pipeline
 // (synthesis probes + classifyOnGrid) over a whole problem family on the
-// work-stealing pool, one problem per task. This is the "multi-instance
+// engine thread pool, one problem per chunk. This is the "multi-instance
 // workload" of the ROADMAP -- the machine-classification loop behind
 // surveys like Chang's (arXiv:2311.06726), where whole families of LCLs are
 // classified mechanically.

@@ -1,8 +1,9 @@
 #include "engine/thread_pool.hpp"
 
 #include <algorithm>
-#include <chrono>
+#include <atomic>
 #include <cstdlib>
+#include <exception>
 #include <memory>
 #include <utility>
 
@@ -12,150 +13,109 @@
 namespace lclgrid::engine {
 
 int defaultThreads() {
-  if (const char* env = std::getenv("LCLGRID_THREADS")) {
-    const int parsed = std::atoi(env);
-    if (parsed >= 1) return parsed;
-  }
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw >= 1 ? static_cast<int>(hw) : 1;
+  // Read once: hardware_concurrency() costs microseconds per call, and
+  // PoolHandle asks for every request that sets a lane count.
+  static const int lanes = [] {
+    if (const char* env = std::getenv("LCLGRID_THREADS")) {
+      const int parsed = std::atoi(env);
+      if (parsed >= 1) return parsed;
+    }
+    const unsigned hw = std::thread::hardware_concurrency();
+    return hw >= 1 ? static_cast<int>(hw) : 1;
+  }();
+  return lanes;
 }
+
+/// One posted parallelFor call. `body` belongs to the caller's frame and is
+/// read only through a claimed chunk index (< chunks); the caller does not
+/// return before every claimed chunk is done, so it outlives every read.
+struct ThreadPool::Batch {
+  Batch(const std::function<void(std::int64_t, std::int64_t)>& body,
+        std::int64_t begin, std::int64_t end, std::int64_t grain)
+      : body(&body), begin(begin), end(end), grain(grain),
+        chunks((end - begin + grain - 1) / grain), unfinished(chunks) {}
+
+  bool claimable() const { return next.load() < chunks; }
+
+  const std::function<void(std::int64_t, std::int64_t)>* const body;
+  const std::int64_t begin;
+  const std::int64_t end;
+  const std::int64_t grain;
+  const std::int64_t chunks;
+  std::atomic<std::int64_t> next{0};  // the chunk cursor
+  std::atomic<std::int64_t> unfinished;
+  std::mutex mutex;
+  std::exception_ptr error;  // guarded by mutex: the first body exception
+  bool done = false;         // guarded by mutex: the last chunk finished
+  std::condition_variable finished;
+};
 
 ThreadPool::ThreadPool(int threads) {
   if (threads <= 0) threads = defaultThreads();
-  const int workerCount = threads - 1;
-  workers_.reserve(static_cast<std::size_t>(workerCount));
-  for (int i = 0; i < workerCount; ++i) {
-    workers_.push_back(std::make_unique<Worker>());
-  }
-  threads_.reserve(static_cast<std::size_t>(workerCount));
-  for (int i = 0; i < workerCount; ++i) {
-    threads_.emplace_back(
-        [this, i]() { workerLoop(static_cast<std::size_t>(i)); });
+  threads_.reserve(static_cast<std::size_t>(threads - 1));
+  try {
+    for (int i = 1; i < threads; ++i) {
+      threads_.emplace_back([this] { workerLoop(); });
+    }
+  } catch (...) {
+    stop();  // a worker that did start must not outlive a failed pool
+    throw;
   }
 }
 
-ThreadPool::~ThreadPool() {
+ThreadPool::~ThreadPool() { stop(); }
+
+void ThreadPool::stop() {
   {
-    std::lock_guard<std::mutex> lock(idleMutex_);
+    std::lock_guard<std::mutex> lock(mutex_);
     stopping_ = true;
   }
-  idle_.notify_all();
+  posted_.notify_all();
   for (std::thread& t : threads_) t.join();
 }
 
-void ThreadPool::push(std::function<void()> task, bool notify) {
-  static const telemetry::Counter tasksSubmitted =
-      telemetry::counter("pool.tasks_submitted");
-  static const telemetry::Gauge queueDepthMax =
-      telemetry::gauge("pool.queue_depth_max");
-  // Lock-free cursor: the dealing loop of parallelFor calls push once per
-  // chunk, so it must not serialise on the idle mutex the workers wait on.
-  const std::size_t lane =
-      nextLane_.fetch_add(1, std::memory_order_relaxed) % workers_.size();
-  std::size_t depth;
-  {
-    std::lock_guard<std::mutex> lock(workers_[lane]->mutex);
-    workers_[lane]->tasks.push_back(std::move(task));
-    depth = workers_[lane]->tasks.size();
-  }
-  tasksSubmitted.increment();
-  queueDepthMax.max(static_cast<std::int64_t>(depth));
-  if (notify) wake(/*all=*/false);
-}
-
-void ThreadPool::wake(bool all) {
-  // The epoch bump under the mutex is what makes wake-ups lossless: a
-  // worker that found the queues empty re-reads the epoch under the same
-  // mutex before sleeping, so a wake between its scan and its wait flips
-  // the predicate instead of evaporating.
-  {
-    std::lock_guard<std::mutex> lock(idleMutex_);
-    ++wakeEpoch_;
-  }
-  if (all) {
-    idle_.notify_all();
-  } else {
-    idle_.notify_one();
-  }
-}
-
-void ThreadPool::runDetached(const std::function<void()>& task) noexcept {
-  // Detached tasks have no caller to rethrow to; swallowing here also keeps
-  // a stolen submit() task from unwinding some other thread's parallelFor.
-  try {
-    task();
-  } catch (...) {
-  }
-}
-
-void ThreadPool::submit(std::function<void()> task) {
-  if (workers_.empty()) {
-    // No workers: run inline -- a 1-lane pool is the serial code path.
-    runDetached(task);
-    return;
-  }
-  push([task = std::move(task)]() { runDetached(task); });
-}
-
-bool ThreadPool::tryTake(std::size_t self, std::function<void()>& task) {
-  // Own queue first, newest task (LIFO keeps the working set warm)...
-  if (self < workers_.size()) {
-    Worker& own = *workers_[self];
-    std::lock_guard<std::mutex> lock(own.mutex);
-    if (!own.tasks.empty()) {
-      task = std::move(own.tasks.back());
-      own.tasks.pop_back();
-      return true;
-    }
-  }
-  // ...then steal the oldest task from someone else (FIFO spreads the
-  // biggest remaining chunks of a batch). The steal counter includes the
-  // caller's helping-loop takes (self == workers_.size()): every FIFO take
-  // from another lane's deque counts.
-  static const telemetry::Counter steals = telemetry::counter("pool.steals");
-  for (std::size_t offset = 1; offset <= workers_.size(); ++offset) {
-    const std::size_t victim = (self + offset) % workers_.size();
-    if (victim == self) continue;
-    Worker& other = *workers_[victim];
-    std::lock_guard<std::mutex> lock(other.mutex);
-    if (!other.tasks.empty()) {
-      task = std::move(other.tasks.front());
-      other.tasks.pop_front();
-      steals.increment();
-      return true;
-    }
-  }
-  return false;
-}
-
-void ThreadPool::workerLoop(std::size_t self) {
+void ThreadPool::runChunks(Batch& batch) {
   for (;;) {
-    // Epoch snapshot BEFORE scanning the queues: any wake() that lands
-    // after the snapshot flips the wait predicate below, so a push racing
-    // the empty scan can never be slept through (the 50 ms timeout is a
-    // belt-and-braces bound, not the recovery mechanism).
-    std::uint64_t seen;
-    {
-      std::lock_guard<std::mutex> lock(idleMutex_);
-      seen = wakeEpoch_;
-    }
-    std::function<void()> task;
-    if (tryTake(self, task)) {
-      // Injected scheduling jitter (delay) for chaos runs; a slow worker
+    const std::int64_t chunk = batch.next.fetch_add(1);
+    if (chunk >= batch.chunks) return;
+    const std::int64_t chunkBegin = batch.begin + chunk * batch.grain;
+    const std::int64_t chunkEnd =
+        std::min(chunkBegin + batch.grain, batch.end);
+    try {
+      // Injected scheduling jitter (delay) for chaos runs; a slow lane
       // must never change counts, only latency.
       (void)FAULT_POINT("pool.task");
-      task();
+      // One span per chunk: with tracing on, the per-thread rows of the
+      // Chrome trace show how the batch's chunks spread over the lanes.
+      telemetry::ScopedSpan span("pool/chunk");
+      (*batch.body)(chunkBegin, chunkEnd);
+    } catch (...) {
+      std::lock_guard<std::mutex> lock(batch.mutex);
+      if (!batch.error) batch.error = std::current_exception();
+    }
+    if (batch.unfinished.fetch_sub(1) == 1) {
+      std::lock_guard<std::mutex> lock(batch.mutex);
+      batch.done = true;
+      batch.finished.notify_one();
+    }
+  }
+}
+
+void ThreadPool::workerLoop() {
+  std::unique_lock<std::mutex> lock(mutex_);
+  for (;;) {
+    posted_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
+    // No call is in flight once the destructor runs, so every batch still
+    // queued then has had all its chunks claimed.
+    if (stopping_) return;
+    std::shared_ptr<Batch> batch = queue_.front();
+    if (!batch->claimable()) {
+      queue_.pop_front();
       continue;
     }
-    // stopping_ is only checked here, where the queues were just seen
-    // empty -- never before tryTake -- so shutdown drains every task
-    // submitted before the destructor ran (the drain contract of
-    // submit()); a worker woken by the destructor loops through tryTake
-    // first.
-    std::unique_lock<std::mutex> lock(idleMutex_);
-    if (stopping_) return;
-    idle_.wait_for(lock, std::chrono::milliseconds(50),
-                   [&]() { return stopping_ || wakeEpoch_ != seen; });
+    lock.unlock();
+    runChunks(*batch);
+    lock.lock();
   }
 }
 
@@ -178,8 +138,8 @@ void ThreadPool::parallelFor(
   if (items <= 0) return;
   grain = resolveGrain(items, grain, lanes());
 
-  if (workers_.empty() || items <= grain) {
-    // Serial fast path: no task machinery at all.
+  if (threads_.empty() || items <= grain) {
+    // Serial fast path: no batch machinery at all.
     for (std::int64_t b = begin; b < end; b += grain) {
       telemetry::ScopedSpan span("pool/chunk");
       body(b, std::min(b + grain, end));
@@ -187,56 +147,27 @@ void ThreadPool::parallelFor(
     return;
   }
 
-  auto batch = std::make_shared<Batch>();
-  batch->pending = (items + grain - 1) / grain;
-
-  auto runChunk = [&body, batch, this](std::int64_t chunkBegin,
-                                       std::int64_t chunkEnd) {
-    try {
-      // One span per shard chunk: with tracing on, the per-thread rows of
-      // the Chrome trace show how the batch's chunks spread and steal.
-      telemetry::ScopedSpan span("pool/chunk");
-      body(chunkBegin, chunkEnd);
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(batch->mutex);
-      if (!batch->error) batch->error = std::current_exception();
-    }
-    bool last = false;
-    {
-      std::lock_guard<std::mutex> lock(batch->mutex);
-      last = --batch->pending == 0;
-    }
-    if (last) batch->done.notify_all();
-  };
-
-  // Keep the first chunk for the caller; deal the rest to the workers with
-  // one wake-up for the whole batch (a notify per chunk is measurable
-  // overhead at verifier-kernel granularity).
-  for (std::int64_t b = begin + grain; b < end; b += grain) {
-    const std::int64_t e = std::min(b + grain, end);
-    push([runChunk, b, e]() { runChunk(b, e); }, /*notify=*/false);
+  static const telemetry::Counter tasksSubmitted =
+      telemetry::counter("pool.tasks_submitted");
+  const auto batch = std::make_shared<Batch>(body, begin, end, grain);
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    queue_.push_back(batch);
   }
-  wake(/*all=*/true);
-  runChunk(begin, std::min(begin + grain, end));
+  tasksSubmitted.add(batch->chunks);
+  // Wake no more workers than there are chunks beyond the caller's first.
+  const std::int64_t helpers = std::min(
+      batch->chunks - 1, static_cast<std::int64_t>(threads_.size()));
+  for (std::int64_t i = 0; i < helpers; ++i) posted_.notify_one();
 
-  // Help until the batch drains: execute whatever is queued (our own chunks
-  // or unrelated submitted tasks -- either way the pool makes progress).
-  for (;;) {
-    {
-      std::lock_guard<std::mutex> lock(batch->mutex);
-      if (batch->pending == 0) break;
-    }
-    std::function<void()> task;
-    if (tryTake(workers_.size(), task)) {
-      task();
-      continue;
-    }
-    std::unique_lock<std::mutex> lock(batch->mutex);
-    batch->done.wait_for(lock, std::chrono::milliseconds(1),
-                         [&]() { return batch->pending == 0; });
-    if (batch->pending == 0) break;
+  runChunks(*batch);
+  std::unique_lock<std::mutex> lock(batch->mutex);
+  batch->finished.wait(lock, [&] { return batch->done; });
+  // Take the error out of the batch: a worker may drop the batch last, and
+  // the exception must be released on this thread, where it is handled.
+  if (std::exception_ptr error = std::exchange(batch->error, nullptr)) {
+    std::rethrow_exception(error);
   }
-  if (batch->error) std::rethrow_exception(batch->error);
 }
 
 ThreadPool& ThreadPool::global() {

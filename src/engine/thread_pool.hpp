@@ -1,16 +1,25 @@
-// The parallel execution runtime: a work-stealing thread pool plus
+// The parallel execution runtime: a shared-batch thread pool plus
 // deterministic data-parallel loops on top of it. This is the substrate for
 // the sharded verifier (verify(VerifyRequest), engine/verify_api.cpp) and
 // the concurrent family sweep driver (engine/family_sweep.hpp).
 //
 // Design:
-//  * every worker owns a deque; submitted tasks are dealt round-robin,
-//    workers pop their own back (LIFO, cache-warm) and steal from other
-//    fronts (FIFO, oldest work) when empty;
+//  * every parallelFor posts one batch -- the range, the grain and the body
+//    -- to a first-in, first-out queue guarded by one mutex. Every lane, the
+//    caller included, claims the batch's chunks through one atomic cursor,
+//    in chunk order, so a slow chunk never holds up the chunks after it:
+//    the other lanes keep claiming around it. Idle workers sleep on one
+//    condition variable and serve the oldest batch that still has unclaimed
+//    chunks;
 //  * the thread that calls parallelFor/parallelReduce participates: it
-//    executes tasks itself until its batch drains, so a pool constructed
-//    with `threads == 1` spawns no workers at all and runs serially on the
+//    claims chunks of its own batch until the cursor passes the end, then
+//    sleeps until the batch's last chunk is done. A pool constructed with
+//    `threads == 1` starts no thread at all and runs serially on the
 //    caller -- the degenerate case is exactly the serial code path;
+//  * a worker can still hold a batch after its caller has returned (it
+//    took the batch but lost the race for the last chunk), so batches are
+//    shared-owned, and nothing reads the caller's body once the cursor has
+//    passed the end;
 //  * reductions are deterministic by construction: partial results are
 //    combined on the caller in ascending chunk order, never in completion
 //    order, so the result is independent of scheduling. With an explicit
@@ -20,18 +29,18 @@
 //    lane count, which still yields identical results for associative
 //    combines such as the verifier's integer counts.
 //
-// Thread-safety contract: ThreadPool itself is safe to share; the loop
-// bodies handed to parallelFor/parallelReduce run concurrently and must not
-// mutate shared state without their own synchronisation. Exceptions thrown
-// by a body are caught, the first one is rethrown on the calling thread
-// after the batch drains (remaining chunks still run).
+// Thread-safety contract: ThreadPool itself is safe to share -- concurrent
+// callers each post their own batch and each get their own results and
+// errors back; the loop bodies handed to parallelFor/parallelReduce run
+// concurrently and must not mutate shared state without their own
+// synchronisation. Exceptions thrown by a body are caught, the first one is
+// rethrown on the calling thread after the batch drains (remaining chunks
+// still run). The destructor joins the workers; no call may be in flight.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <exception>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -44,7 +53,7 @@ namespace lclgrid::engine {
 
 class ThreadPool {
  public:
-  /// Spawns threads-1 workers (the caller is the remaining lane);
+  /// Starts threads-1 workers (the caller is the remaining lane);
   /// threads == 0 means defaultThreads().
   explicit ThreadPool(int threads = 0);
   ~ThreadPool();
@@ -52,15 +61,7 @@ class ThreadPool {
   ThreadPool& operator=(const ThreadPool&) = delete;
 
   /// Total execution lanes, counting the thread that calls parallelFor.
-  int lanes() const { return static_cast<int>(workers_.size()) + 1; }
-
-  /// Fire-and-forget task; runs on some worker (or on a caller draining a
-  /// parallelFor batch). Tasks submitted before destruction are drained by
-  /// the destructor's join. Tasks should handle their own errors: an
-  /// escaping exception is swallowed by the runner (there is no caller to
-  /// rethrow to, and it must not unwind an unrelated parallelFor that
-  /// stole the task). Use parallelFor for joinable work.
-  void submit(std::function<void()> task);
+  int lanes() const { return static_cast<int>(threads_.size()) + 1; }
 
   /// Runs body(chunkBegin, chunkEnd) over [begin, end) split into chunks of
   /// `grain` (0 = auto); returns when every chunk has run. The caller
@@ -101,34 +102,19 @@ class ThreadPool {
                                    int lanes);
 
  private:
-  struct Batch {
-    std::mutex mutex;
-    std::condition_variable done;
-    std::int64_t pending = 0;
-    std::exception_ptr error;
-  };
-  struct Worker {
-    std::mutex mutex;
-    std::deque<std::function<void()>> tasks;
-  };
+  struct Batch;
 
-  void workerLoop(std::size_t self);
-  /// Pops from `self`'s back or steals from another worker's front.
-  bool tryTake(std::size_t self, std::function<void()>& task);
-  void push(std::function<void()> task, bool notify = true);
-  /// Bumps the wake epoch under the idle mutex and notifies; pairs with
-  /// the predicated wait in workerLoop so wake-ups cannot be lost.
-  void wake(bool all);
-  /// Runs a fire-and-forget task, swallowing any escaping exception.
-  static void runDetached(const std::function<void()>& task) noexcept;
+  void workerLoop();
+  /// Claims and runs chunks of `batch` until its cursor passes the end.
+  static void runChunks(Batch& batch);
+  /// Stops and joins the workers.
+  void stop();
 
-  std::vector<std::unique_ptr<Worker>> workers_;
+  std::mutex mutex_;
+  std::deque<std::shared_ptr<Batch>> queue_;  // guarded by mutex_
+  bool stopping_ = false;                     // guarded by mutex_
+  std::condition_variable posted_;  // a batch was posted, or stopping_
   std::vector<std::thread> threads_;
-  std::mutex idleMutex_;
-  std::condition_variable idle_;
-  std::atomic<std::size_t> nextLane_{0};  // round-robin submission cursor
-  std::uint64_t wakeEpoch_ = 0;           // guarded by idleMutex_
-  bool stopping_ = false;
 };
 
 /// Resolves EngineOptions to a runnable pool: options.pool if set, the

@@ -425,7 +425,7 @@ void checkpointSlab(const StreamPass& pass, bool functionalPhase,
 std::int64_t runStreamPass(const StreamPass& pass, bool stopAtFirst) {
   const StreamLabelling& file = *pass.file;
   const long long lines = file.lines();
-  bool table = pass.tablePath;
+  const bool table = pass.tablePath;
   // Checkpointing covers count passes only: verify early-exits, is cheap
   // to rerun, and its "first violation" short-circuit would make resumed
   // totals meaningless.
@@ -471,26 +471,27 @@ std::int64_t runStreamPass(const StreamPass& pass, bool stopAtFirst) {
     }
   }
 
-  std::int64_t total = 0;
-  if (table && !resumeFunctional) {
-    // The slab kernels check every row they read (the wrap stash included)
-    // just before first use, so the walk needs no validation pass.
+  // One slab walk per phase, resumable at `from` with running `total`: the
+  // table phase runs kernelRows and answers nullopt on a slab that met an
+  // out-of-range label; the functional phase runs functionalRows, which
+  // checks every label itself.
+  const auto runPhase = [&](bool functionalPhase, long long from,
+                            std::int64_t total) -> std::optional<std::int64_t> {
+    const auto& kernel = functionalPhase ? pass.functionalRows : pass.kernelRows;
     // Rows [0, wrapKeep) stay pinned.
-    long long dropCursor = std::max(pass.wrapKeep, startRow);
+    long long dropCursor = std::max(pass.wrapKeep, from);
     long long slabsSinceCheckpoint = 0;
-    total = startTotal;
-    for (long long begin = startRow; begin < lines; begin += pass.window) {
+    for (long long begin = from; begin < lines; begin += pass.window) {
       const long long end = std::min(lines, begin + pass.window);
       std::int64_t slab;
       {
         slabCounter.increment();
         telemetry::ScopedSpan slabSpan("stream/slab");
         (void)FAULT_POINT("stream.slab");
-        slab = pass.kernelRows(begin, end, stopAtFirst);
+        slab = kernel(begin, end, stopAtFirst);
       }
-      if (slab == verifier_detail::kOutOfRange) {
-        table = false;
-        break;
+      if (!functionalPhase && slab == verifier_detail::kOutOfRange) {
+        return std::nullopt;
       }
       total += slab;
       if (stopAtFirst && total > 0) return total;
@@ -504,51 +505,35 @@ std::int64_t runStreamPass(const StreamPass& pass, bool stopAtFirst) {
       }
       if (checkpointing && ++slabsSinceCheckpoint >= pass.checkpointEverySlabs) {
         slabsSinceCheckpoint = 0;
-        checkpointSlab(pass, /*functionalPhase=*/false, end, total);
+        checkpointSlab(pass, functionalPhase, end, total);
       }
     }
-    if (table) {
-      if (checkpointing) removeStreamCheckpoint(pass.checkpointPath);
-      return total;
-    }
-    verify_probes::recordRangeFallback();
+    return total;
+  };
+
+  std::optional<std::int64_t> total;
+  if (table && !resumeFunctional) {
+    // The slab kernels check every row they read (the wrap stash included)
+    // just before first use, so the walk needs no validation pass.
+    total = runPhase(/*functionalPhase=*/false, startRow, startTotal);
+    if (!total) verify_probes::recordRangeFallback();
   }
-  // Functional fallback: an uncompiled problem, or (count passes) an
-  // out-of-range label surfaced mid-stream -- the whole pass restarts on
-  // the predicate loop, mirroring the in-core engine's functional recount
-  // (dropped pages are simply paged back in). A table-phase crash between
-  // the fallback and the first functional checkpoint resumes into the
-  // table phase, rediscovers the out-of-range label and falls back again
-  // -- always to the same functional-from-zero restart.
-  const long long functionalStart = resumeFunctional ? startRow : 0;
-  total = resumeFunctional ? startTotal : 0;
-  long long dropCursor = std::max(pass.wrapKeep, functionalStart);
-  long long slabsSinceCheckpoint = 0;
-  for (long long begin = functionalStart; begin < lines;
-       begin += pass.window) {
-    const long long end = std::min(lines, begin + pass.window);
-    {
-      slabCounter.increment();
-      telemetry::ScopedSpan slabSpan("stream/slab");
-      (void)FAULT_POINT("stream.slab");
-      total += pass.functionalRows(begin, end, stopAtFirst);
-    }
-    if (stopAtFirst && total > 0) return total;
-    if (pass.dropBehind) {
-      const long long dropEnd = end - pass.wrapKeep;
-      if (dropEnd > dropCursor) {
-        file.dropRows(dropCursor, dropEnd);
-        droppedRows.add(dropEnd - dropCursor);
-        dropCursor = dropEnd;
-      }
-    }
-    if (checkpointing && ++slabsSinceCheckpoint >= pass.checkpointEverySlabs) {
-      slabsSinceCheckpoint = 0;
-      checkpointSlab(pass, /*functionalPhase=*/true, end, total);
-    }
+  if (!total) {
+    // Functional fallback: an uncompiled problem, or (count passes) an
+    // out-of-range label surfaced mid-stream -- the whole pass restarts on
+    // the predicate loop, mirroring the in-core engine's functional
+    // recount (dropped pages are simply paged back in). A table-phase
+    // crash between the fallback and the first functional checkpoint
+    // resumes into the table phase, rediscovers the out-of-range label and
+    // falls back again -- always to the same functional-from-zero restart.
+    total = resumeFunctional
+                ? runPhase(/*functionalPhase=*/true, startRow, startTotal)
+                : runPhase(/*functionalPhase=*/true, 0, 0);
   }
+  // A verify pass that stopped early never checkpoints, so this removes
+  // only a finished count pass's record.
   if (checkpointing) removeStreamCheckpoint(pass.checkpointPath);
-  return total;
+  return *total;
 }
 
 }  // namespace stream_verify_detail

@@ -23,7 +23,7 @@
 // A file is verified through verify(VerifyRequest) (lcl/verify_api.hpp)
 // with VerifyRequest::file or ::labellingPath set; the engine builds the
 // pass (engine/shard_detail.hpp), running each slab inline or sharded
-// across the work-stealing pool. A 2D problem streams as its d = 2 form
+// across the engine thread pool. A 2D problem streams as its d = 2 form
 // (GridLcl::asGridLclD), so one set of streaming rules covers every
 // dimension.
 #pragma once

@@ -21,7 +21,8 @@
 //  * one writer sends every response: the frame, or on a JSON connection
 //    the line rendered from it;
 //  * problems resolve through a fingerprint-indexed LRU cache of compiled
-//    problems (spec -> GridLcl/GridLclD, fingerprint -> GridLcl) and oracle
+//    problems (spec -> GridLcl/GridLclD, and each fingerprint -> the spec
+//    that built it, for 2D and d-dimensional problems alike) and oracle
 //    reports reuse an engine::ReportCache, both capacity-bounded;
 //  * inline label batches are handed to the engine zero-copy: the int32
 //    region of the receive buffer is spanned directly into

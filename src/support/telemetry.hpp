@@ -31,7 +31,7 @@
 //
 // Probe naming scheme (see docs/observability.md): dot-separated
 // lowercase_underscore components, "<layer>.<metric>" for counters/gauges
-// ("verify.nodes.bitsliced", "pool.steals", "sat.conflicts") and
+// ("verify.nodes.bitsliced", "pool.tasks_submitted", "sat.conflicts") and
 // '/'-separated hierarchical names for spans ("verify/bitsliced",
 // "sweep/classify/<problem>").
 #pragma once

@@ -1,10 +1,14 @@
-// Engine determinism and runtime tests: the work-stealing pool's loops, the
+// Engine determinism and runtime tests: the shared-batch pool's loops, the
 // sharded verifier's bit-identity with the serial engine across thread
 // counts, fingerprint-keyed sweep caching, and the JSON report schema.
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
+#include <mutex>
 #include <numeric>
 #include <random>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -106,33 +110,6 @@ TEST(ThreadPool, ReduceIsDeterministicAcrossThreadCounts) {
   EXPECT_EQ(runWith(8), serial);
 }
 
-TEST(ThreadPool, DestructorDrainsSubmittedTasks) {
-  // The drain contract of submit(): every task submitted before the
-  // destructor runs, even if the pool is torn down immediately after.
-  for (int round = 0; round < 50; ++round) {
-    std::atomic<int> ran{0};
-    {
-      engine::ThreadPool pool(3);
-      for (int i = 0; i < 8; ++i) {
-        pool.submit([&ran]() { ran.fetch_add(1); });
-      }
-    }
-    ASSERT_EQ(ran.load(), 8) << "round " << round;
-  }
-}
-
-TEST(ThreadPool, SubmitSwallowsTaskExceptions) {
-  std::atomic<int> ran{0};
-  {
-    engine::ThreadPool pool(2);
-    pool.submit([]() { throw std::runtime_error("detached boom"); });
-    pool.submit([&ran]() { ran.fetch_add(1); });
-    // Destruction joins: the throwing task must neither terminate the
-    // process nor lose the task behind it.
-  }
-  EXPECT_EQ(ran.load(), 1);
-}
-
 TEST(ThreadPool, ExceptionsPropagateToCaller) {
   engine::ThreadPool pool(4);
   EXPECT_THROW(
@@ -174,6 +151,82 @@ TEST(ThreadPool, OnePoolSharedByConcurrentCallers) {
   }
   for (std::thread& caller : callers) caller.join();
   EXPECT_EQ(wrong.load(), 0);
+}
+
+TEST(ThreadPool, SlowChunkDoesNotSerialiseOthers) {
+  // The family sweep runs one problem per chunk: a slow chunk (a deep
+  // synthesis ladder) must not hold up the chunks after it. Chunk 0 waits
+  // until the other 63 have run, and must be released by them, not by the
+  // timeout.
+  engine::ThreadPool pool(4);
+  constexpr int kChunks = 64;
+  std::mutex mutex;
+  std::condition_variable othersRan;
+  int others = 0;
+  bool released = false;
+  pool.parallelFor(0, kChunks, /*grain=*/1,
+                   [&](std::int64_t begin, std::int64_t) {
+                     std::unique_lock<std::mutex> lock(mutex);
+                     if (begin == 0) {
+                       released = othersRan.wait_for(
+                           lock, std::chrono::seconds(10),
+                           [&] { return others == kChunks - 1; });
+                     } else if (++others == kChunks - 1) {
+                       othersRan.notify_all();
+                     }
+                   });
+  EXPECT_TRUE(released);
+  EXPECT_EQ(others, kChunks - 1);
+}
+
+TEST(ThreadPool, ConcurrentBatchesKeepTheirOwnErrors) {
+  // Every caller's batch goes through the one shared queue, so errors must
+  // stay per batch: only the caller whose batch threw sees the exception,
+  // and the other caller still gets its exact sum.
+  for (int threads : {2, 4, 8}) {
+    engine::ThreadPool pool(threads);
+    constexpr int kRounds = 1000;
+    std::atomic<int> missedThrows{0};
+    std::atomic<int> wrongSums{0};
+    std::thread thrower([&pool, &missedThrows] {
+      for (int round = 0; round < kRounds; ++round) {
+        try {
+          pool.parallelFor(0, 64, /*grain=*/1,
+                           [round](std::int64_t begin, std::int64_t) {
+                             if (begin == round % 64) {
+                               throw std::runtime_error("thrower's chunk");
+                             }
+                           });
+          missedThrows.fetch_add(1);
+        } catch (const std::runtime_error& error) {
+          if (std::string(error.what()) != "thrower's chunk") {
+            missedThrows.fetch_add(1);
+          }
+        }
+      }
+    });
+    std::thread summer([&pool, &wrongSums] {
+      for (int round = 0; round < kRounds; ++round) {
+        try {
+          const std::int64_t sum = pool.parallelReduce(
+              0, 640, /*grain=*/10, std::int64_t{0},
+              [](std::int64_t begin, std::int64_t end) {
+                std::int64_t partial = 0;
+                for (std::int64_t i = begin; i < end; ++i) partial += i;
+                return partial;
+              },
+              [](std::int64_t a, std::int64_t b) { return a + b; });
+          if (sum != 640 * 639 / 2) wrongSums.fetch_add(1);
+        } catch (...) {
+          wrongSums.fetch_add(1);
+        }
+      }
+    });
+    thrower.join();
+    summer.join();
+    EXPECT_EQ(missedThrows.load(), 0) << "threads=" << threads;
+    EXPECT_EQ(wrongSums.load(), 0) << "threads=" << threads;
+  }
 }
 
 TEST(EngineVerifier, CountsBitIdenticalToSerialForRegistry) {

@@ -12,6 +12,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
@@ -831,16 +832,15 @@ TEST(FaultRegistry, EveryHardenedPointIsRegistered) {
     (void)streamCount(mapped, problems::vertexColouring(4), window);
   }
   {
-    // submit() routes through the worker's loop (parallelFor's helping
-    // loop could consume every chunk on the caller thread and skip the
-    // worker-side probe site).
+    // pool.task fires before every chunk of a posted batch, on whichever
+    // lane claims it; only a multi-chunk call on a multi-lane pool posts
+    // one (anything else runs inline).
     engine::ThreadPool pool(2);
-    std::atomic<bool> ran{false};
-    pool.submit([&ran] { ran.store(true); });
-    for (int spin = 0; spin < 2000 && !ran.load(); ++spin) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    ASSERT_TRUE(ran.load());
+    std::atomic<int> ran{0};
+    pool.parallelFor(0, 8, /*grain=*/1, [&ran](std::int64_t, std::int64_t) {
+      ran.fetch_add(1);
+    });
+    ASSERT_EQ(ran.load(), 8);
   }
 
   std::vector<std::string> names;
