@@ -1,9 +1,7 @@
-// The streaming out-of-core verifier's format and slab walk
-// (lcl/stream_verify.hpp): the on-disk format (writer + memory-mapped
-// reader), checkpoints, and the slab-walking pass the engine drives. The
-// kernels themselves are the verifier_detail slices of the in-core engine,
-// run zero-copy on the mapped payload, so counts are bit-identical by
-// construction.
+// The on-disk formats of out-of-core verification (lcl/stream_verify.hpp):
+// the LCLLABv1 labelling (writer + memory-mapped reader), its slab
+// geometry, and the LCLCKPv1 checkpoint record. The slab walk itself is
+// the engine's (engine/verify_api.cpp).
 #include "lcl/stream_verify.hpp"
 
 #include <algorithm>
@@ -14,10 +12,7 @@
 #include <limits>
 #include <stdexcept>
 
-#include "lcl/verifier.hpp"
-#include "lcl/verify_probes.hpp"
 #include "support/faultpoint.hpp"
-#include "support/timing.hpp"
 
 #if __has_include(<unistd.h>)
 #include <unistd.h>
@@ -268,13 +263,23 @@ std::uint64_t StreamLabelling::fingerprint() const {
   return hash;
 }
 
+// --- slab geometry ---------------------------------------------------------
+
+long long streamSlabRows(int n, long long lines, long long requested) {
+  if (requested > 0) return std::min(requested, lines);
+  constexpr long long kTargetBytes = 8LL << 20;
+  const long long rowBytes = static_cast<long long>(n) * sizeof(int);
+  return std::clamp(kTargetBytes / rowBytes, 1LL, lines);
+}
+
 // --- checkpoints ------------------------------------------------------------
 
 namespace {
 
 /// "LCLCKPv1": 8 magic bytes, u32 flags (bit 0 = functional phase), u32
-/// reserved, the labelling and problem fingerprints, nextRow / frontier /
-/// total as int64, and an FNV-1a checksum of the preceding 56 bytes.
+/// reserved, the labelling and problem fingerprints, nextRow, a reserved
+/// int64 (written 0, ignored on load) and total as int64, and an FNV-1a
+/// checksum of the preceding 56 bytes.
 constexpr unsigned char kCheckpointMagic[8] = {'L', 'C', 'L', 'C',
                                                'K', 'P', 'v', '1'};
 constexpr std::size_t kCheckpointBytes = 64;
@@ -307,7 +312,7 @@ bool writeStreamCheckpoint(const std::string& path,
   put64le(buffer + 16, checkpoint.labellingFingerprint);
   put64le(buffer + 24, checkpoint.problemFingerprint);
   put64le(buffer + 32, static_cast<std::uint64_t>(checkpoint.nextRow));
-  put64le(buffer + 40, static_cast<std::uint64_t>(checkpoint.frontier));
+  put64le(buffer + 40, 0);  // reserved
   put64le(buffer + 48, static_cast<std::uint64_t>(checkpoint.total));
   put64le(buffer + 56, checkpointChecksum(buffer));
 
@@ -347,195 +352,13 @@ std::optional<StreamCheckpoint> loadStreamCheckpoint(const std::string& path) {
   checkpoint.labellingFingerprint = get64le(buffer + 16);
   checkpoint.problemFingerprint = get64le(buffer + 24);
   checkpoint.nextRow = static_cast<long long>(get64le(buffer + 32));
-  checkpoint.frontier = static_cast<long long>(get64le(buffer + 40));
   checkpoint.total = static_cast<std::int64_t>(get64le(buffer + 48));
-  if (checkpoint.nextRow < 0 || checkpoint.frontier < 0) return std::nullopt;
+  if (checkpoint.nextRow < 0) return std::nullopt;
   return checkpoint;
 }
 
 void removeStreamCheckpoint(const std::string& path) {
   std::remove(path.c_str());
 }
-
-// --- slab machinery --------------------------------------------------------
-
-namespace stream_verify_detail {
-
-long long resolveWindowRows(int n, long long lines, long long requested) {
-  if (requested > 0) return std::min(requested, lines);
-  constexpr long long kTargetBytes = 8LL << 20;
-  const long long rowBytes = static_cast<long long>(n) * sizeof(int);
-  return std::clamp(kTargetBytes / rowBytes, 1LL, lines);
-}
-
-long long wrapWindowRows(int dims, int n) {
-  long long rows = 1;
-  for (int axis = 2; axis < dims; ++axis) rows *= n;
-  return rows;
-}
-
-bool streamUsesBitslice(const StreamLabelling& file, const GridLclD& lcl) {
-  return lcl.hasTable() && lcl.dims() == 2 &&
-         verifier_detail::bitsliceSelected(lcl, file.size());
-}
-
-void checkStreamD(const StreamLabelling& file, const GridLclD& lcl) {
-  if (file.dims() != lcl.dims()) {
-    throw std::invalid_argument(
-        "stream verify: file dims " + std::to_string(file.dims()) +
-        " does not match problem dims " + std::to_string(lcl.dims()));
-  }
-  if (file.sigma() != lcl.sigma()) {
-    throw std::invalid_argument(
-        "stream verify: file sigma " + std::to_string(file.sigma()) +
-        " does not match problem sigma " + std::to_string(lcl.sigma()));
-  }
-}
-
-namespace {
-
-/// Writes one checkpoint record for the pass; failures degrade to "no
-/// checkpoint" (counted, never fatal). The stream.checkpoint fault point
-/// fires only after a durable write, so abort@nth=K in a crash test kills
-/// the pass with exactly K checkpoints on disk.
-void checkpointSlab(const StreamPass& pass, bool functionalPhase,
-                    long long nextRow, std::int64_t total) {
-  static const telemetry::Counter written =
-      telemetry::counter("stream.checkpoints");
-  static const telemetry::Counter failed =
-      telemetry::counter("stream.checkpoint_failures");
-  StreamCheckpoint checkpoint;
-  checkpoint.functionalPhase = functionalPhase;
-  checkpoint.labellingFingerprint = pass.labellingFingerprint;
-  checkpoint.problemFingerprint = pass.problemFingerprint;
-  checkpoint.nextRow = nextRow;
-  // The table phase's kernels have checked every row they read.
-  checkpoint.frontier = functionalPhase ? 0 : nextRow;
-  checkpoint.total = total;
-  if (writeStreamCheckpoint(pass.checkpointPath, checkpoint)) {
-    written.increment();
-    (void)FAULT_POINT("stream.checkpoint");
-  } else {
-    failed.increment();
-  }
-}
-
-}  // namespace
-
-std::int64_t runStreamPass(const StreamPass& pass, bool stopAtFirst) {
-  const StreamLabelling& file = *pass.file;
-  const long long lines = file.lines();
-  const bool table = pass.tablePath;
-  // Checkpointing covers count passes only: verify early-exits, is cheap
-  // to rerun, and its "first violation" short-circuit would make resumed
-  // totals meaningless.
-  const bool checkpointing = !stopAtFirst && !pass.checkpointPath.empty();
-  // Streaming-tier attribution and the bounded-memory gauges: one call per
-  // pass, slabs and dropped rows as they stream by, and the process RSS
-  // high-water after the pass (the docs/perf.md bounded-window claim in
-  // gauge form).
-  verify_probes::recordCall(verify_probes::Tier::kStream, file.size());
-  telemetry::ScopedSpan passSpan(
-      verify_probes::spanName(verify_probes::Tier::kStream));
-  static const telemetry::Counter slabCounter =
-      telemetry::counter("stream.slabs");
-  static const telemetry::Counter droppedRows =
-      telemetry::counter("stream.rows_dropped");
-  static const telemetry::Counter resumeCounter =
-      telemetry::counter("stream.resumes");
-  static const telemetry::Gauge rssGauge =
-      telemetry::gauge("stream.peak_rss_kb");
-  struct RssAtExit {
-    const telemetry::Gauge& gauge;
-    ~RssAtExit() { gauge.max(support::peakRssKb()); }
-  } rssAtExit{rssGauge};
-
-  // Resume: a fingerprint-matching checkpoint restores the cursor and the
-  // running total. Bit-identity needs no slab alignment -- totals are
-  // exact int64 sums over disjoint row ranges, so any partition of
-  // [0, lines) yields the identical count.
-  long long startRow = 0;
-  std::int64_t startTotal = 0;
-  bool resumeFunctional = false;
-  if (checkpointing) {
-    if (const auto loaded = loadStreamCheckpoint(pass.checkpointPath)) {
-      if (loaded->labellingFingerprint == pass.labellingFingerprint &&
-          loaded->problemFingerprint == pass.problemFingerprint &&
-          loaded->nextRow <= lines && loaded->frontier <= lines &&
-          (loaded->functionalPhase || table)) {
-        startRow = loaded->nextRow;
-        startTotal = loaded->total;
-        resumeFunctional = loaded->functionalPhase;
-        resumeCounter.increment();
-      }
-    }
-  }
-
-  // One slab walk per phase, resumable at `from` with running `total`: the
-  // table phase runs kernelRows and answers nullopt on a slab that met an
-  // out-of-range label; the functional phase runs functionalRows, which
-  // checks every label itself.
-  const auto runPhase = [&](bool functionalPhase, long long from,
-                            std::int64_t total) -> std::optional<std::int64_t> {
-    const auto& kernel = functionalPhase ? pass.functionalRows : pass.kernelRows;
-    // Rows [0, wrapKeep) stay pinned.
-    long long dropCursor = std::max(pass.wrapKeep, from);
-    long long slabsSinceCheckpoint = 0;
-    for (long long begin = from; begin < lines; begin += pass.window) {
-      const long long end = std::min(lines, begin + pass.window);
-      std::int64_t slab;
-      {
-        slabCounter.increment();
-        telemetry::ScopedSpan slabSpan("stream/slab");
-        (void)FAULT_POINT("stream.slab");
-        slab = kernel(begin, end, stopAtFirst);
-      }
-      if (!functionalPhase && slab == verifier_detail::kOutOfRange) {
-        return std::nullopt;
-      }
-      total += slab;
-      if (stopAtFirst && total > 0) return total;
-      if (pass.dropBehind) {
-        const long long dropEnd = end - pass.wrapKeep;
-        if (dropEnd > dropCursor) {
-          file.dropRows(dropCursor, dropEnd);
-          droppedRows.add(dropEnd - dropCursor);
-          dropCursor = dropEnd;
-        }
-      }
-      if (checkpointing && ++slabsSinceCheckpoint >= pass.checkpointEverySlabs) {
-        slabsSinceCheckpoint = 0;
-        checkpointSlab(pass, functionalPhase, end, total);
-      }
-    }
-    return total;
-  };
-
-  std::optional<std::int64_t> total;
-  if (table && !resumeFunctional) {
-    // The slab kernels check every row they read (the wrap stash included)
-    // just before first use, so the walk needs no validation pass.
-    total = runPhase(/*functionalPhase=*/false, startRow, startTotal);
-    if (!total) verify_probes::recordRangeFallback();
-  }
-  if (!total) {
-    // Functional fallback: an uncompiled problem, or (count passes) an
-    // out-of-range label surfaced mid-stream -- the whole pass restarts on
-    // the predicate loop, mirroring the in-core engine's functional
-    // recount (dropped pages are simply paged back in). A table-phase
-    // crash between the fallback and the first functional checkpoint
-    // resumes into the table phase, rediscovers the out-of-range label and
-    // falls back again -- always to the same functional-from-zero restart.
-    total = resumeFunctional
-                ? runPhase(/*functionalPhase=*/true, startRow, startTotal)
-                : runPhase(/*functionalPhase=*/true, 0, 0);
-  }
-  // A verify pass that stopped early never checkpoints, so this removes
-  // only a finished count pass's record.
-  if (checkpointing) removeStreamCheckpoint(pass.checkpointPath);
-  return *total;
-}
-
-}  // namespace stream_verify_detail
 
 }  // namespace lclgrid

@@ -1,40 +1,23 @@
-// The fourth verifier tier: out-of-core streaming verification of labellings
-// read from disk (docs/perf.md). A compact on-disk format holds one torus
-// labelling -- a fixed header (magic, sigma, dims, side) followed by the
-// row-major int32 label payload, byte-identical to the in-core layout -- so
-// a memory-mapped file *is* a label buffer and the existing row/line kernels
-// run on it zero-copy. The streaming entry points walk the mapping in slabs
-// of axis-0 rows with a rolling window:
-//
-//  * the kernel reads rows [slab - 1, slab + 1] (d = 2) or the neighbour-line
-//    window of the outer axes (d >= 3), checking each row just before its
-//    first use, so an out-of-range label never indexes a table row: a
-//    verify pass answers infeasible, a count pass restarts on the
-//    functional tier, exactly like the in-core engine;
-//  * pages behind the window are dropped (madvise) as the cursor advances,
-//    with the wrap stash -- the first wrap window of rows, needed again by
-//    the final rows' cyclic neighbours -- pinned resident;
-//
-// so a torus with >= 10^9 nodes verifies in one pass with O(rows) resident
-// memory and no full-grid allocation. Counts are bit-identical to the
-// in-core engine on every tier and thread count: the slabs run the exact
-// verifier_detail slices the in-core paths run.
+// The on-disk formats of out-of-core verification (docs/perf.md): the
+// LCLLABv1 labelling, its slab geometry, and the LCLCKPv1 checkpoint of a
+// resumable pass. A labelling file holds a fixed header (magic, sigma,
+// dims, side) and then the row-major int32 labels, byte-identical to the
+// in-core layout, so a memory-mapped file *is* a label buffer.
 //
 // A file is verified through verify(VerifyRequest) (lcl/verify_api.hpp)
-// with VerifyRequest::file or ::labellingPath set; the engine builds the
-// pass (engine/shard_detail.hpp), running each slab inline or sharded
-// across the engine thread pool. A 2D problem streams as its d = 2 form
-// (GridLcl::asGridLclD), so one set of streaming rules covers every
-// dimension.
+// with VerifyRequest::file or ::labellingPath set. The engine views the
+// mapping as a TorusD plus its labels and runs the in-core kernels over
+// slabs of axis-0 rows (streamSlabRows), inline or sharded across its
+// pool, dropping the pages behind the cursor; so a torus with >= 10^9
+// nodes verifies with O(rows) resident memory, and counts are
+// bit-identical to the in-core engine on every tier and thread count.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <span>
 #include <string>
 
-#include "lcl/grid_lcl_d.hpp"
 #include "support/mmap_file.hpp"
 
 namespace lclgrid {
@@ -118,40 +101,35 @@ class StreamLabelling {
 };
 
 /// Slab geometry of a streaming pass. rows == 0 picks a slab of ~8 MiB of
-/// payload (at least one row); dropBehind toggles the madvise reclamation
-/// (off: the page cache decides, resident set may grow to the file size).
+/// payload (at least one row).
 struct StreamWindow {
   long long rows = 0;
-  bool dropBehind = true;
   /// Crash-safe resume (count passes only -- verify early-exits and is
   /// cheap to rerun): when non-empty, the pass maintains a sidecar
   /// checkpoint file at this path, written atomically (tmp + fsync +
-  /// rename) at slab boundaries and removed on completion. A pass finding
+  /// rename) after every slab and removed on completion. A pass finding
   /// a checkpoint whose labelling and problem fingerprints match resumes
   /// from the recorded cursor; counts are bit-identical to an
   /// uninterrupted run because totals are exact int64 sums over disjoint
   /// row ranges (docs/robustness.md).
   std::string checkpointPath{};
-  /// Checkpoint cadence: write every this many slabs (>= 1).
-  long long checkpointEverySlabs = 1;
 };
+
+/// Rows per slab of a file with `lines` axis-0 rows of `n` labels: the
+/// requested count, else ~8 MiB of payload, clamped to [1, lines].
+long long streamSlabRows(int n, long long lines, long long requested);
 
 /// The sidecar checkpoint record of a resumable streaming count pass
 /// ("LCLCKPv1", 64 bytes, docs/robustness.md). Exposed for tests and
 /// recovery tooling; the pass reads and writes it internally.
 struct StreamCheckpoint {
-  /// False: the table-tier walk. True: the functional fallback walk (a
-  /// restart after an out-of-range label).
+  /// False: the walk on the selected kernel. True: the functional walk
+  /// (an uncompiled problem, or a restart after an out-of-range label).
   bool functionalPhase = false;
   std::uint64_t labellingFingerprint = 0;
   std::uint64_t problemFingerprint = 0;
   /// First row the resumed pass still has to process.
   long long nextRow = 0;
-  /// Rows [0, frontier) the table phase has range-checked. The kernel
-  /// checks rows as it reads them, so the pass writes nextRow here (0 in
-  /// the functional phase); a load still validates the field, which keeps
-  /// the LCLCKPv1 layout, but the resumed pass does not use it.
-  long long frontier = 0;
   /// Violations accumulated over rows [0, nextRow).
   std::int64_t total = 0;
 };
@@ -170,69 +148,5 @@ std::optional<StreamCheckpoint> loadStreamCheckpoint(const std::string& path);
 
 /// Removes a checkpoint file (best-effort; absent is fine).
 void removeStreamCheckpoint(const std::string& path);
-
-/// The slab-walking machinery behind the engine's streaming pass. Not
-/// stable API.
-namespace stream_verify_detail {
-
-/// Rows per slab: the explicit request, else ~8 MiB of payload, clamped to
-/// [1, lines].
-long long resolveWindowRows(int n, long long lines, long long requested);
-
-/// The wrap window: rows pinned resident at the front of the payload (the
-/// final rows' cyclic neighbours). 1 row for dims <= 2; n^(dims-2) rows
-/// (one outermost-axis block) for d >= 3, where the farthest neighbour
-/// line of the table kernel lives -- also the halo the d >= 3 table slice
-/// range-checks on each side of its lines.
-long long wrapWindowRows(int dims, int n);
-
-/// One streaming pass, parameterised over how a slab executes (the engine
-/// runs the verifier_detail slices inline or through the pool).
-/// tablePath == false runs functionalRows only. On the table path an
-/// out-of-range label makes kernelRows return 1 in a verify pass (a
-/// violated node) and verifier_detail::kOutOfRange in a count pass, which
-/// restarts the whole pass on functionalRows, mirroring the in-core
-/// fallback.
-struct StreamPass {
-  const StreamLabelling* file = nullptr;
-  long long window = 1;
-  long long wrapKeep = 1;
-  bool dropBehind = true;
-  bool tablePath = false;
-  /// Table/bit-sliced violations of rows [rowBegin, rowEnd), or
-  /// verifier_detail::kOutOfRange (count passes).
-  std::function<std::int64_t(long long rowBegin, long long rowEnd,
-                             bool stopAtFirst)>
-      kernelRows;
-  /// Functional violations of rows [rowBegin, rowEnd).
-  std::function<std::int64_t(long long rowBegin, long long rowEnd,
-                             bool stopAtFirst)>
-      functionalRows;
-  /// Crash-safe resume (StreamWindow::checkpointPath): count passes load a
-  /// fingerprint-matching checkpoint at entry, write one every
-  /// checkpointEverySlabs slabs, and remove it on completion. Ignored for
-  /// stopAtFirst passes.
-  std::string checkpointPath;
-  long long checkpointEverySlabs = 1;
-  std::uint64_t labellingFingerprint = 0;
-  std::uint64_t problemFingerprint = 0;
-};
-
-std::int64_t runStreamPass(const StreamPass& pass, bool stopAtFirst);
-
-/// Kernel tier of a streaming table path, one per pass so thread counts
-/// cannot diverge. d = 2 (every 2D problem streams as its d = 2 form)
-/// mirrors the in-core selection (verifier_detail::bitsliceSelected): its
-/// rolling row kernel reads the raw labels. d >= 3 stays on the
-/// row-pointer kernel -- the staged d >= 3 bit-sliced path needs the whole
-/// labelling transposed into plane buffers, which is exactly the full-grid
-/// allocation streaming exists to avoid.
-bool streamUsesBitslice(const StreamLabelling& file, const GridLclD& lcl);
-
-/// Validation of a file against the problem: dims/sigma mismatches throw
-/// std::invalid_argument. Node ids are 64-bit on every dimension.
-void checkStreamD(const StreamLabelling& file, const GridLclD& lcl);
-
-}  // namespace stream_verify_detail
 
 }  // namespace lclgrid

@@ -222,8 +222,9 @@ std::int64_t notEqualRowAvx512(const std::uint64_t* curP,
       const std::uint64_t* plane = curP + static_cast<std::size_t>(b) * W;
       const __m512i c = _mm512_loadu_si512(plane + w);
       const __m512i shifted = _mm512_loadu_si512(plane + w + 1);
-      const __m512i east = _mm512_or_si512(_mm512_srli_epi64(c, 1),
-                                           _mm512_slli_epi64(shifted, 63));
+      const __m512i east =
+          _mm512_or_si512(_mm512_maskz_srli_epi64(0xFF, c, 1),
+                          _mm512_maskz_slli_epi64(0xFF, shifted, 63));
       h = _mm512_or_si512(h, _mm512_xor_si512(c, east));
     }
     _mm512_storeu_si512(hE + w, h);
@@ -262,8 +263,9 @@ std::int64_t notEqualRowAvx512(const std::uint64_t* curP,
   for (; v + 8 < W; v += 8) {
     const __m512i he = _mm512_loadu_si512(hE + v);
     const __m512i hePrev = _mm512_loadu_si512(hE + v - 1);
-    const __m512i hw = _mm512_or_si512(_mm512_slli_epi64(he, 1),
-                                       _mm512_srli_epi64(hePrev, 63));
+    const __m512i hw =
+        _mm512_or_si512(_mm512_maskz_slli_epi64(0xFF, he, 1),
+                        _mm512_maskz_srli_epi64(0xFF, hePrev, 63));
     __m512i vu = _mm512_setzero_si512();
     for (int b = 0; b < B; ++b) {
       const std::size_t off = static_cast<std::size_t>(b) * W + v;
@@ -275,11 +277,14 @@ std::int64_t notEqualRowAvx512(const std::uint64_t* curP,
     const __m512i ok = _mm512_and_si512(
         _mm512_and_si512(he, hw),
         _mm512_and_si512(vu, _mm512_loadu_si512(vPrev + v)));
-    const __m512i violated =
-        _mm512_andnot_si512(ok, _mm512_set1_epi64(-1));
+    const __m512i violated = _mm512_xor_si512(ok, _mm512_set1_epi64(-1));
     if (_mm512_test_epi64_mask(violated, violated) != 0) {
       if (stopAtFirst) return 1;
-      bad += _mm512_reduce_add_epi64(_mm512_popcnt_epi64(violated));
+      alignas(64) std::uint64_t lanes[8];
+      _mm512_store_si512(lanes, _mm512_popcnt_epi64(violated));
+      for (const std::uint64_t count : lanes) {
+        bad += static_cast<std::int64_t>(count);
+      }
     }
   }
   for (; v < W; ++v) {
@@ -707,8 +712,9 @@ std::int64_t nibbleRowAvx512(const std::uint8_t* byWest,
     const __m512i s = _mm512_loadu_si512(south + w);
     const __m512i wst = _mm512_loadu_si512(west + w);
     const __m512i key = _mm512_or_si512(
-        _mm512_or_si512(c, _mm512_slli_epi64(nrt, 2)),
-        _mm512_or_si512(_mm512_slli_epi64(e, 4), _mm512_slli_epi64(s, 6)));
+        _mm512_or_si512(c, _mm512_maskz_slli_epi64(0xFF, nrt, 2)),
+        _mm512_or_si512(_mm512_maskz_slli_epi64(0xFF, e, 4),
+                        _mm512_maskz_slli_epi64(0xFF, s, 6)));
     const __mmask64 high = _mm512_movepi8_mask(key);
     const __m512i lowVal = _mm512_permutex2var_epi8(z0, key, z1);
     const __m512i highVal = _mm512_permutex2var_epi8(z2, key, z3);

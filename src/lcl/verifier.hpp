@@ -21,10 +21,10 @@
 // bit-sliced line slices delegate to the 2D row kernels
 // (tableViolationRows, bitsliceViolationRows) on the shared LclTable.
 //
-// Verification itself -- tier selection, sharding, batches and streaming
-// -- is verify(VerifyRequest) in lcl/verify_api.hpp, which runs these
-// slices; so do its single-labelling verify / countViolations
-// conveniences.
+// Verification itself -- tier selection, sharding, batches and labelling
+// files -- is verify(VerifyRequest) in lcl/verify_api.hpp, which runs these
+// slices over a whole labelling or, for a file, slab by slab; so do its
+// single-labelling verify / countViolations conveniences.
 #pragma once
 
 #include <cstdint>
@@ -96,12 +96,16 @@ std::int64_t bitsliceViolationRows(const LclTable& table, int n, int nRows,
 /// Number of axis-0 lines: torus.size() / torus.n().
 long long lineCountD(const TorusD& torus);
 
+/// Lines in one outermost-axis block: n^(dims-2), and 1 for dims <= 2.
+/// Every neighbour line of line L lies within one block of L, cyclically,
+/// so this is the halo a slice reads beyond its lines.
+long long haloLines(const TorusD& torus);
+
 /// Violations of the compiled-table kernel on lines [lineBegin, lineEnd),
 /// or kOutOfRange. Routes d = 2 through tableViolationRows on the
-/// delegated LclTable. For d >= 3 the slice checks its lines plus one
-/// outermost-axis block of halo on each side, cyclically (every neighbour
-/// line lies within that block; stream_verify_detail::wrapWindowRows).
-/// stopAtFirst returns at most 1.
+/// delegated LclTable. For d >= 3 the slice checks its lines plus
+/// haloLines of halo on each side, cyclically. stopAtFirst returns at
+/// most 1.
 std::int64_t tableViolationLinesD(const LclTableD& table, const TorusD& torus,
                                   const int* labels, long long lineBegin,
                                   long long lineEnd, bool stopAtFirst);

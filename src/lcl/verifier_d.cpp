@@ -7,14 +7,14 @@
 // the same lines. d = 2 routes through the proven 2D row kernel on the
 // delegated LclTable (one 2D code path in the library); every 2D request
 // runs here as d = 2. verify(VerifyRequest) (engine/verify_api.cpp) runs
-// these slices serially or sharded across a pool.
+// these slices serially or sharded across a pool, over a whole labelling
+// or over the slabs of a labelling file.
 #include <algorithm>
 #include <bit>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
 
-#include "lcl/stream_verify.hpp"
 #include "lcl/verifier.hpp"
 
 namespace lclgrid {
@@ -53,10 +53,10 @@ void forEachOuterNeighbour(long long line, int n,
 
 /// Table-driven kernel over axis-0 lines [lineBegin, lineEnd) of one
 /// labelling, or kOutOfRange. Every neighbour line of line L lies within
-/// one outermost-axis block (n^(dims-2) lines) of L, cyclically, so the
-/// slice checks [lineBegin - block, lineBegin + block) up front and line
-/// L + block before line L reads its neighbours; no out-of-range label
-/// indexes the table.
+/// one halo block (haloLines) of L, cyclically, so the slice checks
+/// [lineBegin - block, lineBegin + block) up front and line L + block
+/// before line L reads its neighbours; no out-of-range label indexes the
+/// table.
 template <bool StopAtFirst>
 std::int64_t tableViolationLines(const LclTableD& table, const TorusD& torus,
                                  const int* labels, long long lineBegin,
@@ -70,8 +70,7 @@ std::int64_t tableViolationLines(const LclTableD& table, const TorusD& torus,
   }
   if (lineBegin >= lineEnd) return 0;
   const long long lines = verifier_detail::lineCountD(torus);
-  const long long block =
-      stream_verify_detail::wrapWindowRows(torus.dims(), n);
+  const long long block = verifier_detail::haloLines(torus);
   const auto lineOk = [&](long long line) {
     const long long wrapped = ((line % lines) + lines) % lines;
     return verifier_detail::allLabelsInRange(
@@ -285,6 +284,10 @@ namespace verifier_detail {
 
 long long lineCountD(const TorusD& torus) {
   return torus.size() / torus.n();
+}
+
+long long haloLines(const TorusD& torus) {
+  return std::max(1LL, lineCountD(torus) / torus.n());
 }
 
 std::int64_t tableViolationLinesD(const LclTableD& table, const TorusD& torus,

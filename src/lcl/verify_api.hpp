@@ -1,8 +1,10 @@
 // The verification front door: the one implementation behind every check
 // of a labelling in the library. A request names the problem, the
 // instance (inline labels, a back-to-back batch, or an LCLLABv1 file) and
-// the options; verify() selects the kernel tier, the regime (serial,
-// pool-sharded or out-of-core streaming) and dispatches:
+// the options; verify() selects the kernel tier and the regime (serial or
+// pool-sharded) and dispatches. A file is mapped and viewed as a TorusD
+// plus its labels, and runs the same dispatch slab by slab (out-of-core
+// streaming):
 //
 //   VerifyRequest request;
 //   request.problem = &lcl;            // or problemD (with torusD)
@@ -42,7 +44,9 @@
 // run it (no compiled table, no bit-slice plan, out-of-range labels -- a
 // table or bit-sliced pin scans the labels up front for this).
 // Streaming requests (a file or labellingPath) always report
-// VerifyTier::kStream and accept only kAuto.
+// VerifyTier::kStream and accept only kAuto; the pass itself runs the
+// in-core tier the engine selects (the table tier at d >= 3, whose
+// bit-sliced kernel would stage the whole labelling).
 //
 // Thread-safety: verify() only reads the torus, the problem and the label
 // buffers; uncompiled problems must carry re-entrant predicates (every

@@ -411,7 +411,6 @@ TEST(StreamCheckpoint, RoundTripAndCorruptionRejection) {
   checkpoint.labellingFingerprint = 0x1122334455667788ull;
   checkpoint.problemFingerprint = 0x99aabbccddeeff00ull;
   checkpoint.nextRow = 12;
-  checkpoint.frontier = 0;
   checkpoint.total = 345;
   ASSERT_TRUE(writeStreamCheckpoint(path.str(), checkpoint));
   const auto loaded = loadStreamCheckpoint(path.str());
@@ -514,7 +513,6 @@ TEST(StreamCrashResume, StaleFingerprintRestartsFromScratch) {
   stale.labellingFingerprint = 0xdeadbeef;
   stale.problemFingerprint = 0xfeedface;
   stale.nextRow = 4;
-  stale.frontier = 4;
   stale.total = 9999;
   ASSERT_TRUE(writeStreamCheckpoint(checkpoint.str(), stale));
 

@@ -24,6 +24,7 @@
 #include "lcl/label_planes.hpp"
 #include "lcl/problems.hpp"
 #include "lcl/stream_verify.hpp"
+#include "lcl/verifier.hpp"
 #include "lcl/verify_api.hpp"
 #include "verify_testing.hpp"
 
@@ -299,11 +300,11 @@ TEST(StreamVerify, MatchesInCoreWithBitsliceOnAndOff) {
   bitslice::setEnabled(false);
   const std::int64_t viaTable = streamCount(mapped, lcl);
   EXPECT_FALSE(
-      stream_verify_detail::streamUsesBitslice(mapped, lcl.asGridLclD()));
+      verifier_detail::bitsliceSelected(lcl.asGridLclD(), mapped.size()));
   const std::int64_t reference = referenceCount(torus, lcl, labels);
   bitslice::setEnabled(true);
   EXPECT_TRUE(
-      stream_verify_detail::streamUsesBitslice(mapped, lcl.asGridLclD()));
+      verifier_detail::bitsliceSelected(lcl.asGridLclD(), mapped.size()));
   EXPECT_EQ(viaTable, reference);
   EXPECT_EQ(streamCount(mapped, lcl), reference);
 }
@@ -401,31 +402,16 @@ TEST(StreamVerify, OutOfRangeLabelFallsBackToFunctionalTier) {
   }
 }
 
-TEST(StreamVerify, DropBehindOffMatchesDropBehindOn) {
-  const int n = 65;
-  Torus2D torus(n);
-  const GridLcl lcl = problems::maximalIndependentSet();
-  const std::vector<int> labels = randomLabels(torus.size(), lcl.sigma(), 3u);
-  TempFile file("dropoff");
-  writeLabellingFile(file.str(), lcl.sigma(), 2, n, labels);
-  StreamLabelling mapped(file.str());
-  const StreamWindow keep{.rows = 2, .dropBehind = false};
-  const StreamWindow drop{.rows = 2, .dropBehind = true};
-  EXPECT_EQ(streamCount(mapped, lcl, keep),
-            streamCount(mapped, lcl, drop));
-}
-
 TEST(StreamVerifyDetail, WindowGeometry) {
-  using stream_verify_detail::resolveWindowRows;
-  using stream_verify_detail::wrapWindowRows;
+  using verifier_detail::haloLines;
   // Explicit requests clamp to [1, lines]; the default targets ~8 MiB.
-  EXPECT_EQ(resolveWindowRows(10, 100, 7), 7);
-  EXPECT_EQ(resolveWindowRows(10, 100, 1000), 100);
-  EXPECT_EQ(resolveWindowRows(10, 100, 0), 100);  // tiny rows: whole file
+  EXPECT_EQ(streamSlabRows(10, 100, 7), 7);
+  EXPECT_EQ(streamSlabRows(10, 100, 1000), 100);
+  EXPECT_EQ(streamSlabRows(10, 100, 0), 100);  // tiny rows: whole file
   const long long bigSide = 1 << 20;  // 4 MiB per row -> 2 rows per slab
-  EXPECT_EQ(resolveWindowRows(static_cast<int>(bigSide), 1000, 0), 2);
-  EXPECT_EQ(wrapWindowRows(1, 9), 1);
-  EXPECT_EQ(wrapWindowRows(2, 9), 1);
-  EXPECT_EQ(wrapWindowRows(3, 9), 9);
-  EXPECT_EQ(wrapWindowRows(4, 9), 81);
+  EXPECT_EQ(streamSlabRows(static_cast<int>(bigSide), 1000, 0), 2);
+  EXPECT_EQ(haloLines(TorusD(1, 9)), 1);
+  EXPECT_EQ(haloLines(TorusD(2, 9)), 1);
+  EXPECT_EQ(haloLines(TorusD(3, 9)), 9);
+  EXPECT_EQ(haloLines(TorusD(4, 9)), 81);
 }

@@ -12,12 +12,16 @@
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "engine/thread_pool.hpp"
 #include "grid/torus2d.hpp"
+#include "grid/torusd.hpp"
+#include "lcl/grid_lcl_d.hpp"
+#include "lcl/label_planes.hpp"
 #include "lcl/problems.hpp"
 #include "lcl/stream_verify.hpp"
 #include "lcl/verify_api.hpp"
@@ -245,6 +249,94 @@ TEST(TelemetryCounter, RangeFallbacksCountFunctionalRecounts) {
   EXPECT_EQ(verify(streamed).violations, recounted.violations);
   EXPECT_EQ(fallbacks() - before, expectedBump);
   std::remove(path.c_str());
+}
+
+// What perfbench's per-layer rows read off a labelling file: the pass is
+// one verify.calls.stream call over every node, its slabs run the kernels
+// without a kernel-tier call of their own, a checkpointed count pass writes
+// one checkpoint per slab, and drop-behind keeps the first halo block
+// (one row at d = 2, n^(d-2) rows above) resident.
+TEST(TelemetryCounter, FilePassAttribution) {
+  const std::vector<std::string> names = {
+      "verify.calls.functional", "verify.calls.table",
+      "verify.calls.bitsliced",  "verify.calls.stream",
+      "verify.nodes.stream",     "stream.slabs",
+      "stream.checkpoints",      "stream.rows_dropped"};
+  const auto value = [](const telemetry::MetricsSnapshot& snapshot,
+                        const std::string& name) {
+    return std::max<std::int64_t>(0, counterValue(snapshot, name));
+  };
+  const auto deltas = [&](const VerifyRequest& request) {
+    const telemetry::MetricsSnapshot before = telemetry::snapshotMetrics();
+    (void)verify(request);
+    const telemetry::MetricsSnapshot after = telemetry::snapshotMetrics();
+    std::map<std::string, std::int64_t> delta;
+    for (const std::string& name : names) {
+      delta[name] = value(after, name) - value(before, name);
+    }
+    return delta;
+  };
+  const auto expected = [&](std::map<std::string, std::int64_t> bumps) {
+    std::map<std::string, std::int64_t> all;
+    for (const std::string& name : names) {
+      all[name] = telemetry::kCompiledIn ? bumps[name] : 0;
+    }
+    return all;
+  };
+  const bool gate = bitslice::enabled();
+  bitslice::setEnabled(true);
+  const char* dir = std::getenv("TMPDIR");
+  const std::string path = std::string(dir != nullptr ? dir : "/tmp") +
+                           "/telemetry_file_pass." +
+                           std::to_string(::getpid());
+
+  const Torus2D torus(20);
+  const GridLcl problem = problems::vertexColouring(4);
+  std::vector<int> labels(static_cast<std::size_t>(torus.size()));
+  for (int v = 0; v < torus.size(); ++v) {
+    labels[static_cast<std::size_t>(v)] = (v % 20 + 2 * (v / 20)) % 4;
+  }
+  writeLabellingFile(path, problem.sigma(), 2, torus.n(), labels);
+  VerifyRequest streamed;
+  streamed.problem = &problem;
+  streamed.labellingPath = path;
+  streamed.options.countViolations = true;
+  streamed.options.window.rows = 3;
+  streamed.options.window.checkpointPath = path + ".ckpt";
+  EXPECT_EQ(deltas(streamed),
+            expected({{"verify.calls.stream", 1},
+                      {"verify.nodes.stream", 400},
+                      {"stream.slabs", 7},
+                      {"stream.checkpoints", 7},
+                      {"stream.rows_dropped", 18}}));
+
+  VerifyRequest inCore;
+  inCore.problem = &problem;
+  inCore.torus = &torus;
+  inCore.labels = labels;
+  inCore.options.countViolations = true;
+  EXPECT_EQ(deltas(inCore), expected({{"verify.calls.bitsliced", 1}}));
+
+  const TorusD cube(3, 6);
+  const GridLclD problemD = problems_d::vertexColouring(3, 4);
+  std::vector<int> labelsD(static_cast<std::size_t>(cube.size()));
+  for (long long v = 0; v < cube.size(); ++v) {
+    const std::vector<int> c = cube.coords(v);
+    labelsD[static_cast<std::size_t>(v)] = (c[0] + c[1] + c[2]) % 2;
+  }
+  writeLabellingFile(path, problemD.sigma(), 3, cube.n(), labelsD);
+  VerifyRequest streamedD;
+  streamedD.problemD = &problemD;
+  streamedD.labellingPath = path;
+  streamedD.options.countViolations = true;
+  streamedD.options.window.rows = 5;
+  EXPECT_EQ(deltas(streamedD),
+            expected({{"verify.calls.stream", 1},
+                      {"verify.nodes.stream", 216},
+                      {"stream.slabs", 8},
+                      {"stream.rows_dropped", 24}}));
+  std::remove(path.c_str());
+  bitslice::setEnabled(gate);
 }
 
 // Minimal structural JSON scan: brackets balance outside string literals

@@ -230,7 +230,6 @@ void expectOutOfRangeEverywhere(const Torus& torus, const Lcl& problem,
         checkpoint.labellingFingerprint = file.fingerprint();
         checkpoint.problemFingerprint = problem.table().fingerprint();
         checkpoint.nextRow = resumeRow;
-        checkpoint.frontier = checkpoint.functionalPhase ? 0 : resumeRow;
         checkpoint.total = resumeTotal;
         ASSERT_TRUE(writeStreamCheckpoint(checkpointPath, checkpoint));
         StreamWindow resumed = slabs;
