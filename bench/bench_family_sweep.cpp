@@ -72,8 +72,10 @@ int main(int argc, char** argv) {
 
   engine::SweepOptions options;
   options.oracle.synthesis.maxK = 1;
-  // n=3 is the cheap odd probe: parity obstructions at n=5 cost millions
-  // of SAT conflicts (counting is hard for resolution).
+  // One odd and one even probe. A side that an F_2 or F_3 counting argument
+  // rules out (Lemma 24's parity for {1,3}) is decided by the linear
+  // certificate before CDCL; the other probes at these sizes are small
+  // CDCL instances.
   options.oracle.probeSizes = smoke ? std::vector<int>{3} : std::vector<int>{3, 4};
   options.oracle.probeConflictBudget = smoke ? 50'000 : 300'000;
 

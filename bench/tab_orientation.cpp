@@ -37,8 +37,9 @@ int main(int argc, char** argv) {
 
     synthesis::OracleOptions options;
     options.synthesis.maxK = 1;
-    // n=3 is the cheap odd probe: parity obstructions at n=5 cost millions
-    // of SAT conflicts (counting is hard for resolution).
+    // One odd and one even probe. A side that an F_2 or F_3 counting
+    // argument rules out (Lemma 24's parity for {1,3}) is decided by the
+    // linear certificate before CDCL.
     options.probeSizes = {3, 4};
     auto report =
         classifyOnGrid(problems::orientation(x), options);
@@ -65,8 +66,10 @@ int main(int argc, char** argv) {
     std::string verified = "-";
     if (paper != OrientationClass::Unsolvable) {
       Torus2D torus(16);
-      // Budgeted feasibility pre-check: counting-UNSAT orientations (e.g.
-      // X = {1}) are exponentially hard for resolution at n = 16.
+      // Feasibility pre-check at n = 16. The linear certificate decides the
+      // counting-UNSAT orientations (X = {1}: in-degree 1 everywhere rules
+      // out every n not divisible by 6); the budget bounds whatever is left
+      // to CDCL.
       auto probe = solveGlobally(torus, problems::orientation(x), 0,
                                  /*conflictBudget=*/200'000);
       if (!probe.decided) {

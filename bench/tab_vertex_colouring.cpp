@@ -15,15 +15,17 @@ int main() {
   std::printf("E3: vertex k-colouring on 2-dimensional grids\n\n");
 
   AsciiTable table({"k", "paper", "oracle verdict", "synthesis k",
-                    "feasible n=4/5/6/7"});
+                    "feasible n=4/5/6/7 (y/n/?)"});
   for (int k = 2; k <= 6; ++k) {
     const char* paper = k <= 3 ? "Theta(n) (global)" : "Theta(log* n)";
     OracleOptions options;
     options.synthesis.maxK = (k >= 4) ? 3 : 2;  // budget for the one-sided oracle
     auto report = classifyOnGrid(problems::vertexColouring(k), options);
     std::string feasibility;
-    for (auto [n, feasible] : report.feasibility) {
-      feasibility += feasible ? "y" : "n";
+    for (auto [n, outcome] : report.feasibility) {
+      feasibility += outcome == ProbeOutcome::Feasible     ? "y"
+                     : outcome == ProbeOutcome::Infeasible ? "n"
+                                                           : "?";
       feasibility += "/";
     }
     if (!feasibility.empty()) feasibility.pop_back();

@@ -62,8 +62,8 @@ int main(int argc, char** argv) {
   auto report = synthesis::classifyOnGrid(*problem, options);
 
   std::printf("feasibility probe:");
-  for (auto [n, feasible] : report.feasibility) {
-    std::printf(" n=%d:%s", n, feasible ? "yes" : "NO");
+  for (auto [n, outcome] : report.feasibility) {
+    std::printf(" n=%d:%s", n, synthesis::probeOutcomeName(outcome).c_str());
   }
   std::printf("\n");
   for (const auto& attempt : report.attempts) {

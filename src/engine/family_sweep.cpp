@@ -224,10 +224,10 @@ std::string sweepReportJson(const SweepReport& report,
         json.key("rule_k").value(entry.report->rule->k);
       }
       json.key("feasibility").beginArray();
-      for (const auto& [n, feasible] : entry.report->feasibility) {
+      for (const auto& [n, outcome] : entry.report->feasibility) {
         json.beginObject();
         json.key("n").value(n);
-        json.key("feasible").value(feasible);
+        json.key("outcome").value(synthesis::probeOutcomeName(outcome));
         json.endObject();
       }
       json.endArray();

@@ -2,10 +2,28 @@
 
 #include "sat/cnf.hpp"
 #include "support/numeric.hpp"
+#include "support/telemetry.hpp"
 
 namespace lclgrid {
 
 namespace {
+
+/// The linear certificate of a problem's compiled table; an uncompiled
+/// problem has none and rules nothing out.
+LinearCertificate certificateOf(const GridLcl& lcl) {
+  const GridLclD& form = lcl.asGridLclD();
+  return form.hasTable() ? linearCertificate(form.table())
+                         : LinearCertificate{};
+}
+
+/// The answer to a solve the certificate decided: infeasible, decided, no
+/// conflicts, no labels. Counted once per decided call.
+GlobalSolveResult certifiedInfeasible() {
+  static const telemetry::Counter certificates =
+      telemetry::counter("global.linear_certificates");
+  certificates.increment();
+  return GlobalSolveResult{};
+}
 
 /// Builds the full node-label CSP for the LCL on the torus into `solver`,
 /// routing every clause (domain and blocking alike) through `add` so the
@@ -91,8 +109,9 @@ std::vector<int> decodeModel(int nodeCount,
 GlobalSolveResult solveGlobally(const Torus2D& torus, const GridLcl& lcl,
                                 std::uint64_t seed,
                                 std::int64_t conflictBudget) {
-  GlobalSolveResult result;
+  if (certificateOf(lcl).rulesOut(torus.n())) return certifiedInfeasible();
 
+  GlobalSolveResult result;
   sat::Solver solver;
   auto label = buildTorusCsp(
       torus, lcl, solver,
@@ -141,7 +160,8 @@ GlobalSolveResult solveGlobally(const Torus2D& torus, const GridLcl& lcl,
   return result;
 }
 
-FeasibilityProber::FeasibilityProber(const GridLcl& lcl) : lcl_(lcl) {}
+FeasibilityProber::FeasibilityProber(const GridLcl& lcl)
+    : lcl_(lcl), certificate_(certificateOf(lcl)) {}
 
 FeasibilityProber::SizeBlock& FeasibilityProber::blockFor(int n) {
   for (SizeBlock& block : blocks_) {
@@ -161,6 +181,8 @@ FeasibilityProber::SizeBlock& FeasibilityProber::blockFor(int n) {
 
 GlobalSolveResult FeasibilityProber::probe(int n,
                                            std::int64_t conflictBudget) {
+  if (certificate_.rulesOut(n)) return certifiedInfeasible();
+
   SizeBlock& block = blockFor(n);
   GlobalSolveResult result;
   const std::int64_t conflictsBefore = solver_.conflicts();

@@ -15,6 +15,15 @@ std::string gridComplexityName(GridComplexity c) {
   return "?";
 }
 
+std::string probeOutcomeName(ProbeOutcome outcome) {
+  switch (outcome) {
+    case ProbeOutcome::Feasible: return "feasible";
+    case ProbeOutcome::Infeasible: return "infeasible";
+    case ProbeOutcome::Undecided: return "undecided";
+  }
+  return "?";
+}
+
 OracleReport classifyOnGrid(const GridLcl& lcl, const OracleOptions& options) {
   OracleReport report;
 
@@ -35,11 +44,11 @@ OracleReport classifyOnGrid(const GridLcl& lcl, const OracleOptions& options) {
       Torus2D torus(n);
       probe = solveGlobally(torus, lcl, 0, options.probeConflictBudget);
     }
-    // An undecided probe (budget exhausted) is reported as feasible=true in
-    // the sense of "not proven unsolvable".
-    bool feasible = probe.feasible || !probe.decided;
-    report.feasibility.emplace_back(n, feasible);
-    if (!feasible) unsolvableSomewhere = true;
+    const ProbeOutcome outcome = !probe.decided ? ProbeOutcome::Undecided
+                                 : probe.feasible ? ProbeOutcome::Feasible
+                                                  : ProbeOutcome::Infeasible;
+    report.feasibility.emplace_back(n, outcome);
+    if (outcome == ProbeOutcome::Infeasible) unsolvableSomewhere = true;
   }
 
   // O(1) on toroidal grids <=> a constant labelling is feasible (Section 6).

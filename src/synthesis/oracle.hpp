@@ -7,7 +7,9 @@
 //    failure is the honest finite rendering of the semi-decision procedure.
 // A feasibility probe on small tori additionally distinguishes "global but
 // solvable" from "no solution exists for infinitely many n" (both are
-// Theta(n)-class per Section 3).
+// Theta(n)-class per Section 3). Each probe ends feasible, infeasible or
+// undecided (budget exhausted); only an infeasible one yields
+// UnsolvableSomeN.
 //
 // Thread-safety contract: classifyOnGrid is re-entrant -- it composes the
 // feasibility probes and synthesize, both of which keep all mutable state
@@ -34,19 +36,29 @@ namespace lclgrid::synthesis {
 enum class GridComplexity {
   Constant,            // O(1): constant labelling feasible
   LogStar,             // Theta(log* n): synthesis succeeded
-  ConjecturedGlobal,   // no synthesis up to budget; solvable on probed tori
+  ConjecturedGlobal,   // no synthesis up to budget; no probe infeasible
   UnsolvableSomeN,     // no solution for some probed n (=> Theta(n) family)
 };
 
 std::string gridComplexityName(GridComplexity c);
+
+/// What one feasibility probe established about the n x n torus.
+enum class ProbeOutcome {
+  Feasible,    // a labelling was found
+  Infeasible,  // proven: no labelling exists
+  Undecided,   // the conflict budget ran out first
+};
+
+/// "feasible", "infeasible" or "undecided".
+std::string probeOutcomeName(ProbeOutcome outcome);
 
 struct OracleReport {
   GridComplexity complexity = GridComplexity::ConjecturedGlobal;
   int trivialLabel = -1;                   // for Constant
   std::optional<SynthesizedRule> rule;     // for LogStar
   std::vector<SynthesisAttempt> attempts;  // everything that was tried
-  // Feasibility probe results: (n, feasible) for the probed torus sizes.
-  std::vector<std::pair<int, bool>> feasibility;
+  // Feasibility probe results: (n, outcome) for the probed torus sizes.
+  std::vector<std::pair<int, ProbeOutcome>> feasibility;
 };
 
 struct OracleOptions {
@@ -54,9 +66,11 @@ struct OracleOptions {
   /// Torus sizes for the feasibility probe (defaults chosen to include odd
   /// and even n, which separate the parity-obstructed problems).
   std::vector<int> probeSizes = {4, 5, 6, 7};
-  /// SAT conflict budget per probe. Counting-style UNSAT instances (e.g.
-  /// in-degree sum obstructions) are exponentially hard for resolution;
-  /// an undecided probe is treated as "not proven unsolvable".
+  /// SAT conflict budget per probe. Sides that an F_2 or F_3 counting
+  /// argument rules out (in-degree sums, Lemma 24; Theorem 21) are decided
+  /// by the linear certificate before CDCL (lcl/linear_certificate.hpp) and
+  /// spend none of it. A probe that exhausts it is reported Undecided, which
+  /// never counts as "unsolvable for some n".
   std::int64_t probeConflictBudget = 300'000;
 };
 

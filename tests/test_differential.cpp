@@ -71,8 +71,8 @@ std::string canonical(const synthesis::OracleReport& report, int sigma) {
     os << "none";
   }
   os << "|feasibility=[";
-  for (const auto& [n, feasible] : report.feasibility) {
-    os << n << ":" << (feasible ? "yes" : "no") << ";";
+  for (const auto& [n, outcome] : report.feasibility) {
+    os << n << ":" << synthesis::probeOutcomeName(outcome) << ";";
   }
   os << "]";
   return os.str();
@@ -83,9 +83,10 @@ synthesis::OracleOptions oracleOptions(bool incremental) {
   options.synthesis.maxK = 1;
   options.synthesis.tryWiderShapes = false;
   options.synthesis.incremental = incremental;
-  // n=3 and n=4 probe one odd and one even torus cheaply; the odd-n parity
-  // obstructions at n=5 cost millions of resolution conflicts and belong
-  // to the benches, not here.
+  // n=3 and n=4 probe one odd and one even torus. Both regimes answer a
+  // side that an F_2 or F_3 counting argument rules out from the linear
+  // certificate before CDCL (lcl/linear_certificate.hpp); CDCL decides the
+  // rest of these probes in milliseconds.
   options.probeSizes = {3, 4};
   return options;
 }

@@ -162,14 +162,19 @@ TEST(Oracle, ClassifiesTheHeadlineProblems) {
             GridComplexity::ConjecturedGlobal);
   EXPECT_EQ(classifyOnGrid(problems::vertexColouring(2), fast).complexity,
             GridComplexity::UnsolvableSomeN);
-  // {1,3}-orientation: the parity obstruction at n=5 costs ~2M SAT
-  // conflicts (counting arguments are hard for resolution), so probe the
-  // cheap odd case n=3 instead.
-  OracleOptions tiny;
-  tiny.synthesis.maxK = 1;
-  tiny.probeSizes = {3, 4};
-  EXPECT_EQ(classifyOnGrid(problems::orientation({1, 3}), tiny).complexity,
-            GridComplexity::UnsolvableSomeN);
+  // {1,3}-orientation on the default probe sizes and budget: Lemma 24's
+  // parity count (a linear certificate, no CDCL) rules out n = 5 and 7.
+  OracleOptions defaults;
+  defaults.synthesis.maxK = 1;
+  const OracleReport oneThree =
+      classifyOnGrid(problems::orientation({1, 3}), defaults);
+  EXPECT_EQ(oneThree.complexity, GridComplexity::UnsolvableSomeN);
+  const std::vector<std::pair<int, ProbeOutcome>> expected = {
+      {4, ProbeOutcome::Feasible},
+      {5, ProbeOutcome::Infeasible},
+      {6, ProbeOutcome::Feasible},
+      {7, ProbeOutcome::Infeasible}};
+  EXPECT_EQ(oneThree.feasibility, expected);
 }
 
 TEST(Oracle, ReportsFeasibilityProbe) {
@@ -178,9 +183,9 @@ TEST(Oracle, ReportsFeasibilityProbe) {
   options.probeSizes = {4, 5, 6};
   auto report = classifyOnGrid(problems::vertexColouring(2), options);
   ASSERT_EQ(report.feasibility.size(), 3u);
-  EXPECT_TRUE(report.feasibility[0].second);   // n=4 even
-  EXPECT_FALSE(report.feasibility[1].second);  // n=5 odd
-  EXPECT_TRUE(report.feasibility[2].second);   // n=6 even
+  EXPECT_EQ(report.feasibility[0].second, ProbeOutcome::Feasible);    // n=4
+  EXPECT_EQ(report.feasibility[1].second, ProbeOutcome::Infeasible);  // n=5
+  EXPECT_EQ(report.feasibility[2].second, ProbeOutcome::Feasible);    // n=6
 }
 
 TEST(IncrementalSynthesis, LadderMatchesFreshRegime) {

@@ -20,6 +20,7 @@
 #include "engine/thread_pool.hpp"
 #include "grid/torus2d.hpp"
 #include "grid/torusd.hpp"
+#include "lcl/global_solver.hpp"
 #include "lcl/grid_lcl_d.hpp"
 #include "lcl/label_planes.hpp"
 #include "lcl/problems.hpp"
@@ -249,6 +250,36 @@ TEST(TelemetryCounter, RangeFallbacksCountFunctionalRecounts) {
   EXPECT_EQ(verify(streamed).violations, recounted.violations);
   EXPECT_EQ(fallbacks() - before, expectedBump);
   std::remove(path.c_str());
+}
+
+// global.linear_certificates counts the probes a linear certificate decided
+// without CDCL: a {1,3}-orientation prober (Lemma 24) at n = 4, 5 and 7
+// adds one per odd side, vertex 3-colouring (solvable everywhere) none.
+TEST(TelemetryCounter, LinearCertificatesCountDecidedProbes) {
+  const auto certificates = [] {
+    return std::max<std::int64_t>(
+        0, counterValue(telemetry::snapshotMetrics(),
+                        "global.linear_certificates"));
+  };
+  const int perCertificate = telemetry::kCompiledIn ? 1 : 0;
+  const GridLcl oneThree = problems::orientation({1, 3});
+  const GridLcl threeColouring = problems::vertexColouring(3);
+  for (const GridLcl* lcl : {&oneThree, &threeColouring}) {
+    FeasibilityProber prober(*lcl);
+    const std::int64_t before = certificates();
+    int infeasible = 0;
+    for (int n : {4, 5, 7}) {
+      // The budget only bounds a failure: without the certificate, CDCL
+      // could not decide the odd {1,3} sides within it.
+      const GlobalSolveResult probe = prober.probe(n, 10'000);
+      ASSERT_TRUE(probe.decided) << lcl->name() << " n=" << n;
+      if (!probe.feasible) ++infeasible;
+    }
+    const int expected = lcl == &oneThree ? 2 : 0;
+    EXPECT_EQ(infeasible, expected) << lcl->name();
+    EXPECT_EQ(certificates() - before, expected * perCertificate)
+        << lcl->name();
+  }
 }
 
 // What perfbench's per-layer rows read off a labelling file: the pass is
